@@ -5,8 +5,8 @@ statistics, the invertible correspondences, the verification harness,
 sequence export (including OEIS-style b-files) and the asymptotic
 comparison.  All output is line-oriented, locale-independent decimal.
 
-Exit codes: 0 on success, 1 when verification fails, 2 on usage or
-domain errors.
+Exit codes: 0 on success, 1 when verification fails or stdout is closed
+early, 2 on usage or domain errors.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .bijections import (
@@ -48,7 +49,7 @@ from .formulas import (
     u_closed,
 )
 from .paths import parse_path, stats
-from .verify import CHECK_IDS, VerificationReport, verify_all, verify_lemma, _CHECKS
+from .verify import CHECK_IDS, VerificationReport, verify_all, verify_lemma
 
 __all__ = ["main", "build_parser"]
 
@@ -73,14 +74,6 @@ _FAMILIES = {
     "dyck": enumerate_dyck,
     "plain": enumerate_plain,
 }
-
-
-def _require_within_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise ValueError(
-            f"length {n} exceeds the enumeration cap of {cap}; "
-            "pass --cap to override"
-        )
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -108,7 +101,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if method == "dp":
         if args.stat != "paths":
             raise ValueError(f"method dp only supports stat paths, not {args.stat}")
-        _require_within_cap(n, args.cap)
         print(count_ddp_dp(n))
         return 0
     row = totals_brute(n, cap=args.cap)
@@ -140,6 +132,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_totals(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise ValueError(f"largest length must be non-negative, got {args.n}")
     table = CountTable()
     for n in range(args.n + 1):
         if args.method == "brute":
@@ -220,16 +214,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = verify_all(max_n=args.max_n, deep=args.deep)
     else:
         wanted = set(requested)
-        results = []
-        for check_id in CHECK_IDS:
-            if check_id not in wanted:
-                continue
-            spec = _CHECKS[check_id]
-            max_n = args.max_n
-            if max_n is None and args.deep:
-                max_n = spec.deep_n
-            results.append(verify_lemma(check_id, max_n))
-        report = VerificationReport(checks=results)
+        report = VerificationReport(
+            checks=[
+                verify_lemma(check_id, args.max_n, args.deep)
+                for check_id in CHECK_IDS
+                if check_id in wanted
+            ]
+        )
     print(report.to_json())
     return 0 if report.overall else 1
 
@@ -393,13 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # CPython >= 3.10.7 caps int->str at 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); silence the flush at interpreter exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

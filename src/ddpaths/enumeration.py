@@ -13,13 +13,13 @@ entry point that enumerates takes the cap as an argument.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
-from .paths import PathWord
+from .paths import _ONE_ASCENT, PathWord, _k_ascent_pattern
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -36,8 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 26
-
-_ONE_ASCENT = re.compile(r"(?<!U)U(?!U)")
 
 CSV_HEADER = "n,dD,dyck,U,D,R,A"
 
@@ -118,8 +116,13 @@ def _require_enumerable(n: int, cap: int) -> None:
         )
 
 
-def _ddp_words(n: int) -> Iterator[str]:
-    """All DDP words of length n, lexicographic under U < D < R."""
+def _ddp_words(n: int, flat: bool = True) -> Iterator[str]:
+    """All DDP words of length n, lexicographic under U < D < R.
+
+    ``flat=False`` forbids R steps, which leaves the Dyck words (none for odd n).
+    """
+    if not flat and n % 2:
+        return iter(())
     buf: list[str] = []
 
     def rec(remaining: int, height: int) -> Iterator[str]:
@@ -134,7 +137,7 @@ def _ddp_words(n: int) -> Iterator[str]:
             buf.append("D")
             yield from rec(remaining - 1, height - 1)
             buf.pop()
-        if height == 0:
+        elif flat:
             buf.append("R")
             yield from rec(remaining - 1, 0)
             buf.pop()
@@ -142,46 +145,17 @@ def _ddp_words(n: int) -> Iterator[str]:
     return rec(n, 0)
 
 
-def _dyck_words(n: int) -> Iterator[str]:
-    """All R-free DDP words of length n; empty for odd n."""
-    if n % 2:
-        return iter(())
-    buf: list[str] = []
-
-    def rec(remaining: int, height: int) -> Iterator[str]:
-        if remaining == 0:
-            yield "".join(buf)
-            return
-        if height <= remaining - 2:
-            buf.append("U")
-            yield from rec(remaining - 1, height + 1)
-            buf.pop()
-        if height > 0:
-            buf.append("D")
-            yield from rec(remaining - 1, height - 1)
-            buf.pop()
-
-    return rec(n, 0)
-
-
 def _plain_words(n: int) -> Iterator[str]:
-    """All length-n words over U/D ending at height -(n % 2), lexicographic under U < D."""
-    buf: list[str] = []
+    """All length-n words over U/D ending at height -(n % 2), lexicographic under U < D.
 
-    def rec(ups_left: int, downs_left: int) -> Iterator[str]:
-        if not ups_left and not downs_left:
-            yield "".join(buf)
-            return
-        if ups_left:
-            buf.append("U")
-            yield from rec(ups_left - 1, downs_left)
-            buf.pop()
-        if downs_left:
-            buf.append("D")
-            yield from rec(ups_left, downs_left - 1)
-            buf.pop()
-
-    return rec(n // 2, n - n // 2)
+    A word is fixed by its up-step positions, and position tuples in
+    lexicographic order are exactly the words in U < D order.
+    """
+    for ups in combinations(range(n), n // 2):
+        word = ["D"] * n
+        for i in ups:
+            word[i] = "U"
+        yield "".join(word)
 
 
 def enumerate_ddp(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[PathWord]:
@@ -193,7 +167,7 @@ def enumerate_ddp(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[PathWo
 def enumerate_dyck(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[PathWord]:
     """Yield every Dyck path of length ``n``; the stream is empty for odd ``n``."""
     _require_enumerable(n, cap)
-    return (PathWord(w) for w in _dyck_words(n))
+    return (PathWord(w) for w in _ddp_words(n, flat=False))
 
 
 def enumerate_plain(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[PathWord]:
@@ -235,14 +209,15 @@ def totals_brute(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> CountRow:
 
 @lru_cache(maxsize=None)
 def _totals_cached(n: int) -> CountRow:
-    paths = ups = downs = rights = ones = 0
+    paths = dyck = ups = downs = rights = ones = 0
     for w in _ddp_words(n):
         paths += 1
         ups += w.count("U")
         downs += w.count("D")
-        rights += w.count("R")
+        r = w.count("R")
+        rights += r
+        dyck += not r  # an R-free DDP is a Dyck path
         ones += len(_ONE_ASCENT.findall(w))
-    dyck = sum(1 for _ in _dyck_words(n))
     return CountRow(
         n=n, ddp=paths, dyck=dyck, ups=ups, downs=downs, rights=rights, one_ascents=ones
     )
@@ -260,5 +235,5 @@ def k_ascent_total(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     if k < 1:
         raise ValueError(f"ascent length k must be >= 1, got {k}")
     _require_enumerable(n, cap)
-    pattern = re.compile(rf"(?<!U)U{{{k}}}(?!U)")
+    pattern = _k_ascent_pattern(k)
     return sum(len(pattern.findall(w)) for w in _ddp_words(n))

@@ -39,8 +39,15 @@ __all__ = [
 _ALPHABET = frozenset("UDR")
 _RISES = {"U": 1, "D": -1, "R": 0}
 _UP_RUN = re.compile(r"U+")
-# a maximal run of exactly one U: not preceded and not followed by another U
-_ONE_ASCENT = re.compile(r"(?<!U)U(?!U)")
+
+
+def _k_ascent_pattern(k: int) -> re.Pattern[str]:
+    """A maximal run of exactly ``k`` U steps: not preceded and not followed by another U."""
+    # a literal run, not U{k}: the regex engine matches it faster
+    return re.compile("(?<!U)" + "U" * k + "(?!U)")
+
+
+_ONE_ASCENT = _k_ascent_pattern(1)
 
 
 class Step(Enum):

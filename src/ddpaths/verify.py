@@ -415,8 +415,8 @@ _CHECKS: dict[str, _CheckSpec] = {
 CHECK_IDS = tuple(_CHECKS)
 
 
-def verify_lemma(check_id: str, max_n: int | None = None) -> CheckResult:
-    """Run one check; ``max_n`` defaults to the check's standard range.
+def verify_lemma(check_id: str, max_n: int | None = None, deep: bool = False) -> CheckResult:
+    """Run one check at ``max_n``, else at its widest range if ``deep``, else its standard one.
 
     Oracle-backed checks refuse ranges beyond the enumeration cap; the
     arithmetic checks (L4-closed, CONV, and the closed-form tails) accept
@@ -427,7 +427,10 @@ def verify_lemma(check_id: str, max_n: int | None = None) -> CheckResult:
     except KeyError:
         known = ", ".join(CHECK_IDS)
         raise ValueError(f"unknown check id {check_id!r}; expected one of: {known}") from None
-    n = spec.default_n if max_n is None else max_n
+    if max_n is not None:
+        n = max_n
+    else:
+        n = spec.deep_n if deep else spec.default_n
     if n < 0:
         raise ValueError(f"max_n must be non-negative, got {n}")
     if spec.oracle and n > DEFAULT_ENUMERATION_CAP:
@@ -441,17 +444,13 @@ def verify_lemma(check_id: str, max_n: int | None = None) -> CheckResult:
 def verify_all(max_n: int | None = None, deep: bool = False) -> VerificationReport:
     """Run every check and assemble the report.
 
-    Without ``max_n``, each check runs at its standard range, or at its
-    widest supported range when ``deep`` is set.  An explicit ``max_n``
-    applies to every check.
+    Ranges are chosen as in :func:`verify_lemma`, except that an explicit
+    ``max_n`` is clamped to the enumeration cap for oracle-backed checks.
     """
     results = []
     for check_id, spec in _CHECKS.items():
-        if max_n is not None:
-            n = max_n
-        else:
-            n = spec.deep_n if deep else spec.default_n
-        if spec.oracle:
+        n = max_n
+        if n is not None and spec.oracle:
             n = min(n, DEFAULT_ENUMERATION_CAP)
-        results.append(spec.run(n))
+        results.append(verify_lemma(check_id, n, deep))
     return VerificationReport(checks=results)

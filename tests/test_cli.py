@@ -1,6 +1,7 @@
 """CLI behavior: golden outputs, exit codes, format switches."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -148,6 +149,11 @@ class TestCount:
         assert code == 2
         assert "cap" in err
 
+    def test_dp_is_not_capped(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "paths", "30", "--method", "dp")
+        assert code == 0
+        assert out == "155117520\n"  # C(30, 15)
+
     def test_cap_override(self, capsys):
         code, out, _ = run_cli(
             capsys, "count", "paths", "27", "--method", "dp", "--cap", "27"
@@ -190,6 +196,12 @@ class TestTotals:
         _, closed, _ = run_cli(capsys, "totals", "8")
         _, brute, _ = run_cli(capsys, "totals", "8", "--method", "brute")
         assert closed == brute
+
+    def test_negative_length_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "totals", "-2")
+        assert code == 2
+        assert out == ""
+        assert "non-negative" in err
 
     def test_json_format(self, capsys):
         _, out, _ = run_cli(capsys, "totals", "1", "--format", "json")
@@ -334,3 +346,26 @@ class TestUsageErrors:
         )
         assert proc.returncode == 0
         assert proc.stdout == "10\n"
+
+
+class TestOutputBoundary:
+    def test_values_beyond_the_int_str_limit_print(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "paths", "20000")
+        assert code == 0
+        digits = out.strip()
+        assert len(digits) == 6019
+        assert digits == str(math.comb(20000, 10000))
+
+    def test_closed_pipe_ends_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ddpaths", "enumerate", "22"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "UUUUUUUUUUUDDDDDDDDDDD\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err

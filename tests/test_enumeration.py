@@ -59,11 +59,11 @@ class TestGenerators:
         assert generated == sorted(oracle_ddp_words(n), key=lex_key)
         assert len(set(generated)) == len(generated)
 
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", range(15))
     def test_dyck_matches_filter_oracle(self, n):
         assert words(enumerate_dyck(n)) == sorted(oracle_dyck_words(n), key=lex_key)
 
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", range(15))
     def test_plain_matches_filter_oracle(self, n):
         generated = words(enumerate_plain(n))
         assert generated == sorted(oracle_plain_words(n), key=lex_key)

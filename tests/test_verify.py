@@ -56,6 +56,12 @@ def test_oracle_checks_refuse_ranges_beyond_cap():
     assert verify_lemma("L4-closed", 500).passed
 
 
+def test_deep_selects_the_widest_range():
+    assert verify_lemma("L3-bijection", deep=True).range_tested.startswith("odd 1 <= n <= 15")
+    # an explicit max_n wins over deep
+    assert verify_lemma("THM1", 6, deep=True).range_tested == "2 <= m <= 6"
+
+
 def test_verify_all_passes_and_reports(capsys):
     report = verify_all(max_n=8)
     assert report.overall
