@@ -1,11 +1,33 @@
 """Behavior of the verification harness itself."""
 
+import dataclasses
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
 import ddpaths.verify
-from ddpaths import CHECK_IDS, a_closed, r_closed, verify_all, verify_lemma
+from ddpaths import (
+    CHECK_IDS,
+    CheckResult,
+    PathWord,
+    a_closed,
+    asymptotic_ratio,
+    catalan,
+    central_binomial,
+    ddp_to_plain,
+    one_ascent_positions,
+    plain_to_ddp,
+    r_closed,
+    r_convolution,
+    r_pair_decomposition,
+    totals_brute,
+    u_closed,
+    updown_forward,
+    verify_all,
+    verify_lemma,
+)
 
 
 ALL_IDS = (
@@ -96,7 +118,7 @@ def test_concurrent_runs_agree():
 
 
 class TestFaultInjection:
-    """An off-by-one planted in a closed form must surface as a counterexample."""
+    """A fault planted in any route must surface as that check's first counterexample."""
 
     def test_thm1_catches_shifted_a_closed(self, monkeypatch):
         monkeypatch.setattr(
@@ -113,9 +135,187 @@ class TestFaultInjection:
     def test_l4_catches_shifted_r_closed(self, monkeypatch):
         monkeypatch.setattr(ddpaths.verify, "r_closed", lambda n: r_closed(n) + 1)
         result = verify_lemma("L4-closed", 50)
-        assert not result.passed
-        assert result.counterexample is not None
-        assert "n" in result.counterexample
+        assert result == _failed(
+            "L4-closed", L4_RANGE.format(50), {"n": 1, "closed": 2, "brute": 1}
+        )
+
+    # each fault below slips past every earlier L4-closed sub-check, so the
+    # counterexample also pins the order in which the sub-checks run
+    def test_l4_even_recursion(self, monkeypatch):
+        _shift(monkeypatch, "r_closed", r_closed, at=6)
+        assert verify_lemma("L4-closed", 10) == _failed(
+            "L4-closed",
+            L4_RANGE.format(10),
+            {"n": 6, "R(n)": r_closed(6) + 1, "2*R(n-1)": 2 * r_closed(5)},
+        )
+
+    def test_l4_odd_recursion(self, monkeypatch):
+        _shift(monkeypatch, "r_closed", r_closed, at=7)
+        assert verify_lemma("L4-closed", 7) == _failed(
+            "L4-closed",
+            L4_RANGE.format(7),
+            {"n": 7, "R(n)": r_closed(7) + 1, "recursion": r_closed(7)},
+        )
+
+    def test_l4_up_recursion(self, monkeypatch):
+        _shift(monkeypatch, "u_closed", u_closed, at=5)
+        assert verify_lemma("L4-closed", 10) == _failed(
+            "L4-closed",
+            L4_RANGE.format(10),
+            {"n": 5, "U(n)": u_closed(5) + 1, "2*U(n-1)": 2 * u_closed(4)},
+        )
+
+    def test_l4_binomial_shift(self, monkeypatch):
+        def comb(n, k):
+            return math.comb(n, k) + ((n, k) == (9, 4))
+
+        monkeypatch.setattr(ddpaths.verify, "math", SimpleNamespace(comb=comb))
+        assert verify_lemma("L4-closed", 8) == _failed(
+            "L4-closed",
+            L4_RANGE.format(8),
+            {"k": 4, "(k+1)*C(2k+1,k)": 5 * 127, "(2k+1)*C(2k,k)": 9 * 70},
+        )
+
+    def test_l4_half_even_binomial(self, monkeypatch):
+        # doubling C(6,3) and C(7,3) together keeps the binomial shift identity at k = 3
+        def comb(n, k):
+            return math.comb(n, k) * (2 if (n, k) in ((6, 3), (7, 3)) else 1)
+
+        monkeypatch.setattr(ddpaths.verify, "math", SimpleNamespace(comb=comb))
+        assert verify_lemma("L4-closed", 6) == _failed(
+            "L4-closed", L4_RANGE.format(6), {"l": 6, "C(l,l/2)": 40, "2*C(l-1,l/2-1)": 20}
+        )
+
+    def test_l1_count(self, monkeypatch):
+        _shift_totals(monkeypatch, "ddp", at=5)
+        assert verify_lemma("L1-count", 10) == _failed(
+            "L1-count", "0 <= n <= 10", {"n": 5, "enumerated": 11, "dp": 10, "closed": 10}
+        )
+
+    def test_l1_bijection(self, monkeypatch):
+        def broken(path):
+            return PathWord("RRR") if path.word == "DDU" else plain_to_ddp(path)
+
+        monkeypatch.setattr(ddpaths.verify, "plain_to_ddp", broken)
+        roundtrip = ddp_to_plain(PathWord("RRR")).word
+        assert verify_lemma("L1-bijection", 10) == _failed(
+            "L1-bijection",
+            "0 <= n <= 10",
+            {"n": 3, "plain": "DDU", "image": "RRR", "roundtrip": roundtrip},
+        )
+
+    def test_l2_recursion_and_decomposition(self, monkeypatch):
+        _shift_totals(monkeypatch, "rights", at=6)
+        rights = totals_brute(6).rights
+        assert verify_lemma("L2-recursion", 10) == _failed(
+            "L2-recursion",
+            "even 2 <= n <= 10",
+            {"n": 6, "R(n)": rights + 1, "2*R(n-1)": 2 * totals_brute(5).rights},
+        )
+        assert verify_lemma("L2-decomposition", 10) == _failed(
+            "L2-decomposition",
+            "even 2 <= n <= 10",
+            {"n": 6, "decomposition": r_pair_decomposition(6), "brute": rights + 1},
+        )
+
+    def test_l3_recursion(self, monkeypatch):
+        _shift_totals(monkeypatch, "ups", at=5)
+        assert verify_lemma("L3-recursion", 10) == _failed(
+            "L3-recursion",
+            "odd 1 <= n <= 10",
+            {"n": 5, "U(n)": totals_brute(5).ups + 1, "2*U(n-1)": 2 * totals_brute(4).ups},
+        )
+
+    def test_l3_bijection_roundtrip(self, monkeypatch):
+        monkeypatch.setattr(ddpaths.verify, "updown_inverse", lambda path: path)
+        image = updown_forward(PathWord("RUD")).word
+        assert verify_lemma("L3-bijection", 10) == _failed(
+            "L3-bijection",
+            L3_BIJECTION_RANGE.format(10),
+            {"n": 3, "path": "RUD", "image": image, "roundtrip": image},
+        )
+
+    def test_l3_bijection_catalan_argument(self, monkeypatch):
+        _shift(monkeypatch, "catalan", catalan, at=7)
+        assert verify_lemma("L3-bijection", 10) == _failed(
+            "L3-bijection",
+            L3_BIJECTION_RANGE.format(10),
+            {"k": 7, "k*catalan(k)": 7 * (catalan(7) + 1), "C(2k,k-1)": math.comb(14, 6)},
+        )
+
+    def test_l5_bijection(self, monkeypatch):
+        monkeypatch.setattr(
+            ddpaths.verify, "ascent_insert", lambda path, slot: PathWord("R" * (len(path) + 2))
+        )
+        pos = one_ascent_positions("UD")[0]
+        assert verify_lemma("L5-bijection", 10) == _failed(
+            "L5-bijection",
+            "2 <= n <= 10 (longer path length)",
+            {"n": 2, "path": "UD", "pos": pos, "roundtrip": "RR"},
+        )
+
+    def test_l5_count_brute(self, monkeypatch):
+        _shift_totals(monkeypatch, "one_ascents", at=7)
+        ones = totals_brute(7).one_ascents
+        assert verify_lemma("L5-count", 10) == _failed(
+            "L5-count",
+            CLOSED_TAIL_RANGE.format(10),
+            {"n": 7, "A(n)": ones + 1, "dD+D+R at n-2": ones},
+        )
+
+    def test_l5_count_closed(self, monkeypatch):
+        _shift(monkeypatch, "a_closed", a_closed, at=9)
+        assert verify_lemma("L5-count", 10) == _failed(
+            "L5-count",
+            CLOSED_TAIL_RANGE.format(10),
+            {"n": 9, "a_closed": a_closed(9) + 1, "dD+U+R closed at n-2": a_closed(9)},
+        )
+
+    def test_conv(self, monkeypatch):
+        _shift(monkeypatch, "r_convolution", r_convolution, at=5)
+        assert verify_lemma("CONV", 10) == _failed(
+            "CONV", "0 <= n <= 10", {"n": 5, "convolution": r_closed(5) + 1, "closed": r_closed(5)}
+        )
+
+    def test_eqstar_brute(self, monkeypatch):
+        _shift_totals(monkeypatch, "downs", at=4)
+        row = totals_brute(4)
+        assert verify_lemma("EQSTAR", 10) == _failed(
+            "EQSTAR",
+            "0 <= n <= 10 (brute); 0 <= n <= 400 (closed forms)",
+            {"n": 4, "n*dD(n)": 4 * row.ddp, "R+U+D": row.rights + row.ups + row.downs + 1},
+        )
+
+    def test_eqstar_closed(self, monkeypatch):
+        _shift(monkeypatch, "u_closed", u_closed, at=4)
+        assert verify_lemma("EQSTAR", 10) == _failed(
+            "EQSTAR",
+            "0 <= n <= 10 (brute); 0 <= n <= 400 (closed forms)",
+            {
+                "n": 4,
+                "n*dD(n) closed": 4 * central_binomial(4),
+                "R+2U closed": r_closed(4) + 2 * (u_closed(4) + 1),
+            },
+        )
+
+    def test_asym_tolerance(self, monkeypatch):
+        monkeypatch.setattr(
+            ddpaths.verify, "asymptotic_ratio", lambda m: asymptotic_ratio(m) * 1.02
+        )
+        assert verify_lemma("ASYM") == _failed(
+            "ASYM",
+            "m in {1000, 10000}",
+            {"m": 1000, "deviation": abs(asymptotic_ratio(1000) * 1.02 - 1.0), "tolerance": 0.01},
+        )
+
+    def test_asym_tightening(self, monkeypatch):
+        monkeypatch.setattr(ddpaths.verify, "asymptotic_ratio", lambda m: 1.005)
+        deviation = abs(1.005 - 1.0)
+        assert verify_lemma("ASYM") == _failed(
+            "ASYM",
+            "m in {1000, 10000}",
+            {"m": 10000, "deviation": deviation, "deviation_at_smaller_m": deviation},
+        )
 
     def test_overall_fails_with_injected_fault(self, monkeypatch):
         monkeypatch.setattr(ddpaths.verify, "u_closed", lambda n: u_closed_shifted(n))
@@ -127,6 +327,30 @@ class TestFaultInjection:
 
 
 def u_closed_shifted(n):
-    from ddpaths import u_closed
-
     return u_closed(n) + (n == 4)
+
+
+L3_BIJECTION_RANGE = "odd 1 <= n <= {} (bijection); 1 <= k <= 200 (Catalan argument)"
+L4_RANGE = "1 <= n <= {} (recursions); base cases n = 1, 2 brute"
+CLOSED_TAIL_RANGE = "2 <= n <= {} (brute); 0 <= n <= 400 (closed forms)"
+
+
+def _failed(check_id, rng, counterexample):
+    return CheckResult(check_id, rng, False, counterexample)
+
+
+def _shift(monkeypatch, name, fn, at):
+    """Make ``ddpaths.verify.<name>`` return one more than ``fn`` at ``at``."""
+    monkeypatch.setattr(ddpaths.verify, name, lambda n: fn(n) + (n == at))
+
+
+def _shift_totals(monkeypatch, field, at):
+    """Make the brute-force row of length ``at`` overcount ``field`` by one."""
+
+    def shifted(n, *args, **kwargs):
+        row = totals_brute(n, *args, **kwargs)
+        if n != at:
+            return row
+        return dataclasses.replace(row, **{field: getattr(row, field) + 1})
+
+    monkeypatch.setattr(ddpaths.verify, "totals_brute", shifted)
