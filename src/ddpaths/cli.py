@@ -30,7 +30,6 @@ from .bijections import (
 )
 from .enumeration import (
     DEFAULT_ENUMERATION_CAP,
-    CountRow,
     CountTable,
     count_ddp_dp,
     enumerate_ddp,
@@ -46,6 +45,7 @@ from .formulas import (
     dyck_count,
     r_closed,
     r_convolution,
+    totals_closed,
     u_closed,
 )
 from .paths import parse_path, stats
@@ -139,17 +139,7 @@ def _cmd_totals(args: argparse.Namespace) -> int:
         if args.method == "brute":
             table.add(totals_brute(n, cap=args.cap))
         else:
-            table.add(
-                CountRow(
-                    n=n,
-                    ddp=central_binomial(n),
-                    dyck=dyck_count(n),
-                    ups=u_closed(n),
-                    downs=u_closed(n),
-                    rights=r_closed(n),
-                    one_ascents=a_closed(n),
-                )
-            )
+            table.add(totals_closed(n))
     if args.format == "json":
         print(json.dumps(table.to_json_list()))
     else:
@@ -343,7 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help=f"check ids to run (default: all); known ids: {', '.join(CHECK_IDS)}",
     )
-    p.add_argument("--max-n", type=int, default=None, help="range override for every check")
+    p.add_argument(
+        "--max-n",
+        type=int,
+        default=None,
+        help=(
+            "range override for every check; oracle-backed checks refuse N above "
+            f"the enumeration cap ({DEFAULT_ENUMERATION_CAP}) and ASYM ignores N"
+        ),
+    )
     p.add_argument("--deep", action="store_true", help="run each check at its widest range")
     p.set_defaults(handler=_cmd_verify)
 

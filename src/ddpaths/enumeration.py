@@ -109,6 +109,8 @@ class DistributionTable:
 def _require_enumerable(n: int, cap: int) -> None:
     if n < 0:
         raise ValueError(f"path length must be non-negative, got {n}")
+    if cap < 0:
+        raise ValueError(f"enumeration cap must be non-negative, got {cap}")
     if n > cap:
         raise ValueError(
             f"length {n} exceeds the enumeration cap of {cap}; "

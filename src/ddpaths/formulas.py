@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .enumeration import CountRow
+
 __all__ = [
     "central_binomial",
     "catalan",
@@ -20,6 +22,7 @@ __all__ = [
     "u_closed",
     "a_closed",
     "r_convolution",
+    "totals_closed",
     "AsymptoticEstimate",
     "a_asymptotic",
     "asymptotic_ratio",
@@ -97,6 +100,20 @@ def r_convolution(n: int) -> int:
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
     return sum(central_binomial(k) * central_binomial(n - k - 1) for k in range(n))
+
+
+def totals_closed(n: int) -> CountRow:
+    """Every total of length ``n`` from its closed form; the counterpart of ``totals_brute``."""
+    ups = u_closed(n)  # every up step is matched by a down step
+    return CountRow(
+        n=n,
+        ddp=central_binomial(n),
+        dyck=dyck_count(n),
+        ups=ups,
+        downs=ups,
+        rights=r_closed(n),
+        one_ascents=a_closed(n),
+    )
 
 
 class AsymptoticEstimate(NamedTuple):

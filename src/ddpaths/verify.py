@@ -4,9 +4,13 @@ Each check id covers one counting claim and compares at least two
 independent routes to it (brute-force enumeration, a constructive
 correspondence, or a closed formula).  Oracle-backed checks enumerate
 paths and are bounded by the enumeration cap; arithmetic checks run on
-exact integers and accept much larger ranges.  A failing check always
-carries a concrete counterexample payload so it can be replayed through
-the CLI.
+exact integers and accept much larger ranges.
+
+A check is a function of the range ``max_n`` that returns its first
+counterexample as a ``dict`` (concrete enough to replay through the CLI),
+or ``None`` when it passes.  The check ids, their ranges and the text that
+describes a range live in ``_CHECKS``; :func:`verify_lemma` alone turns a
+check's outcome into a :class:`CheckResult`.
 
 Checks are independent and deterministic: the report for a given
 ``(ids, max_n)`` is identical across runs.
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .bijections import (
     SlotKind,
@@ -30,7 +34,13 @@ from .bijections import (
     updown_forward,
     updown_inverse,
 )
-from .enumeration import DEFAULT_ENUMERATION_CAP, _ddp_words, _plain_words, count_ddp_dp, totals_brute
+from .enumeration import (
+    DEFAULT_ENUMERATION_CAP,
+    _ddp_words,
+    _plain_words,
+    count_ddp_dp,
+    totals_brute,
+)
 from .formulas import (
     a_closed,
     asymptotic_ratio,
@@ -86,12 +96,20 @@ class VerificationReport:
         return json.dumps(payload, indent=indent)
 
 
-def _passed(check_id: str, rng: str) -> CheckResult:
-    return CheckResult(check_id, rng, True)
-
-
-def _failed(check_id: str, rng: str, counterexample: dict) -> CheckResult:
-    return CheckResult(check_id, rng, False, counterexample)
+def _first_mismatch(
+    ns: Iterable[int],
+    lhs: Callable[[int], object],
+    rhs: Callable[[int], object],
+    lhs_key: str,
+    rhs_key: str,
+    var: str = "n",
+) -> dict | None:
+    """Counterexample at the first ``i`` in ``ns`` where ``lhs(i) != rhs(i)``, else ``None``."""
+    for i in ns:
+        left, right = lhs(i), rhs(i)
+        if left != right:
+            return {var: i, lhs_key: left, rhs_key: right}
+    return None
 
 
 def _slots_of(word: str) -> list[SlotRef]:
@@ -104,23 +122,17 @@ def _slots_of(word: str) -> list[SlotRef]:
     return slots
 
 
-def _check_l1_count(max_n: int) -> CheckResult:
-    rng = f"0 <= n <= {max_n}"
+def _check_l1_count(max_n: int) -> dict | None:
     for n in range(max_n + 1):
         enumerated = totals_brute(n).ddp
         dp = count_ddp_dp(n)
         closed = central_binomial(n)
         if not enumerated == dp == closed:
-            return _failed(
-                "L1-count",
-                rng,
-                {"n": n, "enumerated": enumerated, "dp": dp, "closed": closed},
-            )
-    return _passed("L1-count", rng)
+            return {"n": n, "enumerated": enumerated, "dp": dp, "closed": closed}
+    return None
 
 
-def _check_l1_bijection(max_n: int) -> CheckResult:
-    rng = f"0 <= n <= {max_n}"
+def _check_l1_bijection(max_n: int) -> dict | None:
     for n in range(max_n + 1):
         ddps = set(_ddp_words(n))
         images = set()
@@ -128,61 +140,50 @@ def _check_l1_bijection(max_n: int) -> CheckResult:
             q = plain_to_ddp(PathWord(w))
             back = ddp_to_plain(q)
             if back.word != w:
-                return _failed(
-                    "L1-bijection",
-                    rng,
-                    {"n": n, "plain": w, "image": q.word, "roundtrip": back.word},
-                )
+                return {"n": n, "plain": w, "image": q.word, "roundtrip": back.word}
             images.add(q.word)
         if images != ddps:
             missing = sorted(ddps - images)[:3]
             extra = sorted(images - ddps)[:3]
-            return _failed(
-                "L1-bijection", rng, {"n": n, "missing": missing, "extra": extra}
-            )
+            return {"n": n, "missing": missing, "extra": extra}
         for w in ddps:
             back = plain_to_ddp(ddp_to_plain(PathWord(w)))
             if back.word != w:
-                return _failed(
-                    "L1-bijection", rng, {"n": n, "ddp": w, "roundtrip": back.word}
-                )
-    return _passed("L1-bijection", rng)
+                return {"n": n, "ddp": w, "roundtrip": back.word}
+    return None
 
 
-def _check_l2_recursion(max_n: int) -> CheckResult:
-    rng = f"even 2 <= n <= {max_n}"
-    for n in range(2, max_n + 1, 2):
-        lhs = totals_brute(n).rights
-        rhs = 2 * totals_brute(n - 1).rights
-        if lhs != rhs:
-            return _failed("L2-recursion", rng, {"n": n, "R(n)": lhs, "2*R(n-1)": rhs})
-    return _passed("L2-recursion", rng)
+def _check_l2_recursion(max_n: int) -> dict | None:
+    return _first_mismatch(
+        range(2, max_n + 1, 2),
+        lambda n: totals_brute(n).rights,
+        lambda n: 2 * totals_brute(n - 1).rights,
+        "R(n)",
+        "2*R(n-1)",
+    )
 
 
-def _check_l2_decomposition(max_n: int) -> CheckResult:
-    rng = f"even 2 <= n <= {max_n}"
-    for n in range(2, max_n + 1, 2):
-        decomposed = r_pair_decomposition(n)
-        brute = totals_brute(n).rights
-        if decomposed != brute:
-            return _failed(
-                "L2-decomposition", rng, {"n": n, "decomposition": decomposed, "brute": brute}
-            )
-    return _passed("L2-decomposition", rng)
+def _check_l2_decomposition(max_n: int) -> dict | None:
+    return _first_mismatch(
+        range(2, max_n + 1, 2),
+        r_pair_decomposition,
+        lambda n: totals_brute(n).rights,
+        "decomposition",
+        "brute",
+    )
 
 
-def _check_l3_recursion(max_n: int) -> CheckResult:
-    rng = f"odd 1 <= n <= {max_n}"
-    for n in range(1, max_n + 1, 2):
-        lhs = totals_brute(n).ups
-        rhs = 2 * totals_brute(n - 1).ups
-        if lhs != rhs:
-            return _failed("L3-recursion", rng, {"n": n, "U(n)": lhs, "2*U(n-1)": rhs})
-    return _passed("L3-recursion", rng)
+def _check_l3_recursion(max_n: int) -> dict | None:
+    return _first_mismatch(
+        range(1, max_n + 1, 2),
+        lambda n: totals_brute(n).ups,
+        lambda n: 2 * totals_brute(n - 1).ups,
+        "U(n)",
+        "2*U(n-1)",
+    )
 
 
-def _check_l3_bijection(max_n: int) -> CheckResult:
-    rng = f"odd 1 <= n <= {max_n} (bijection); 1 <= k <= {_CATALAN_RANGE} (Catalan argument)"
+def _check_l3_bijection(max_n: int) -> dict | None:
     for n in range(1, max_n + 1, 2):
         target = {w for w in _ddp_words(n - 1) if "R" in w}
         images = set()
@@ -192,224 +193,179 @@ def _check_l3_bijection(max_n: int) -> CheckResult:
             q = updown_forward(PathWord(w))
             back = updown_inverse(q)
             if back.word != w:
-                return _failed(
-                    "L3-bijection",
-                    rng,
-                    {"n": n, "path": w, "image": q.word, "roundtrip": back.word},
-                )
+                return {"n": n, "path": w, "image": q.word, "roundtrip": back.word}
             if q.word.count("U") != w.count("U") - 1:
-                return _failed(
-                    "L3-bijection", rng, {"n": n, "path": w, "image": q.word, "detail": "up count"}
-                )
+                return {"n": n, "path": w, "image": q.word, "detail": "up count"}
             images.add(q.word)
         if images != target:
             missing = sorted(target - images)[:3]
             extra = sorted(images - target)[:3]
-            return _failed(
-                "L3-bijection", rng, {"n": n, "missing": missing, "extra": extra}
-            )
+            return {"n": n, "missing": missing, "extra": extra}
     for k in range(1, _CATALAN_RANGE + 1):
-        if k * catalan(k) != math.comb(2 * k, k - 1):
-            return _failed(
-                "L3-bijection",
-                rng,
-                {"k": k, "k*catalan(k)": k * catalan(k), "C(2k,k-1)": math.comb(2 * k, k - 1)},
-            )
-        if math.comb(2 * k + 1, k) - math.comb(2 * k, k) != math.comb(2 * k, k - 1):
-            return _failed(
-                "L3-bijection",
-                rng,
-                {
-                    "k": k,
-                    "C(2k+1,k)-C(2k,k)": math.comb(2 * k + 1, k) - math.comb(2 * k, k),
-                    "C(2k,k-1)": math.comb(2 * k, k - 1),
-                },
-            )
-    return _passed("L3-bijection", rng)
+        c_low = math.comb(2 * k, k - 1)
+        if k * catalan(k) != c_low:
+            return {"k": k, "k*catalan(k)": k * catalan(k), "C(2k,k-1)": c_low}
+        if math.comb(2 * k + 1, k) - math.comb(2 * k, k) != c_low:
+            return {
+                "k": k,
+                "C(2k+1,k)-C(2k,k)": math.comb(2 * k + 1, k) - math.comb(2 * k, k),
+                "C(2k,k-1)": c_low,
+            }
+    return None
 
 
-def _check_l4_closed(max_n: int) -> CheckResult:
+def _check_l4_closed(max_n: int) -> dict | None:
     """Base cases against brute force, then the recursions both sides satisfy."""
-    rng = f"1 <= n <= {max_n} (recursions); base cases n = 1, 2 brute"
-    for n in (1, 2):
-        if r_closed(n) != totals_brute(n).rights:
-            return _failed(
-                "L4-closed",
-                rng,
-                {"n": n, "closed": r_closed(n), "brute": totals_brute(n).rights},
-            )
-    for n in range(2, max_n + 1, 2):
-        if r_closed(n) != 2 * r_closed(n - 1):
-            return _failed(
-                "L4-closed", rng, {"n": n, "R(n)": r_closed(n), "2*R(n-1)": 2 * r_closed(n - 1)}
-            )
-    for n in range(3, max_n + 1, 2):
+
+    def odd_recursion(n: int) -> int:
         k = (n - 1) // 2
-        rhs = 2 * r_closed(n - 1) + n * math.comb(n, k) - 4 * k * math.comb(n - 1, k)
-        if r_closed(n) != rhs:
-            return _failed("L4-closed", rng, {"n": n, "R(n)": r_closed(n), "recursion": rhs})
-    for n in range(1, max_n + 1, 2):
-        if u_closed(n) != 2 * u_closed(n - 1):
-            return _failed(
-                "L4-closed", rng, {"n": n, "U(n)": u_closed(n), "2*U(n-1)": 2 * u_closed(n - 1)}
-            )
-    for k in range(1, max_n // 2 + 1):
-        if (k + 1) * math.comb(2 * k + 1, k) != (2 * k + 1) * math.comb(2 * k, k):
-            return _failed(
-                "L4-closed",
-                rng,
-                {
-                    "k": k,
-                    "(k+1)*C(2k+1,k)": (k + 1) * math.comb(2 * k + 1, k),
-                    "(2k+1)*C(2k,k)": (2 * k + 1) * math.comb(2 * k, k),
-                },
-            )
-    for ell in range(2, max_n + 1, 2):
-        if math.comb(ell, ell // 2) != 2 * math.comb(ell - 1, ell // 2 - 1):
-            return _failed(
-                "L4-closed",
-                rng,
-                {
-                    "l": ell,
-                    "C(l,l/2)": math.comb(ell, ell // 2),
-                    "2*C(l-1,l/2-1)": 2 * math.comb(ell - 1, ell // 2 - 1),
-                },
-            )
-    return _passed("L4-closed", rng)
+        return 2 * r_closed(n - 1) + n * math.comb(n, k) - 4 * k * math.comb(n - 1, k)
+
+    return (
+        _first_mismatch((1, 2), r_closed, lambda n: totals_brute(n).rights, "closed", "brute")
+        or _first_mismatch(
+            range(2, max_n + 1, 2), r_closed, lambda n: 2 * r_closed(n - 1), "R(n)", "2*R(n-1)"
+        )
+        or _first_mismatch(range(3, max_n + 1, 2), r_closed, odd_recursion, "R(n)", "recursion")
+        or _first_mismatch(
+            range(1, max_n + 1, 2), u_closed, lambda n: 2 * u_closed(n - 1), "U(n)", "2*U(n-1)"
+        )
+        or _first_mismatch(
+            range(1, max_n // 2 + 1),
+            lambda k: (k + 1) * math.comb(2 * k + 1, k),
+            lambda k: (2 * k + 1) * math.comb(2 * k, k),
+            "(k+1)*C(2k+1,k)",
+            "(2k+1)*C(2k,k)",
+            var="k",
+        )
+        or _first_mismatch(
+            range(2, max_n + 1, 2),
+            lambda ell: math.comb(ell, ell // 2),
+            lambda ell: 2 * math.comb(ell - 1, ell // 2 - 1),
+            "C(l,l/2)",
+            "2*C(l-1,l/2-1)",
+            var="l",
+        )
+    )
 
 
-def _check_l5_bijection(max_n: int) -> CheckResult:
-    rng = f"2 <= n <= {max_n} (longer path length)"
+def _check_l5_bijection(max_n: int) -> dict | None:
     for m in range(2, max_n + 1):
-        n = m - 2
         seen: set[tuple[str, SlotRef]] = set()
         for w in _ddp_words(m):
             for pos in one_ascent_positions(w):
                 shortened, slot = ascent_remove(PathWord(w), pos)
                 key = (shortened.word, slot)
                 if key in seen:
-                    return _failed(
-                        "L5-bijection",
-                        rng,
-                        {"n": m, "path": w, "pos": pos, "detail": "duplicate (path, slot) image"},
-                    )
+                    detail = "duplicate (path, slot) image"
+                    return {"n": m, "path": w, "pos": pos, "detail": detail}
                 seen.add(key)
                 back = ascent_insert(shortened, slot)
                 if back.word != w:
-                    return _failed(
-                        "L5-bijection",
-                        rng,
-                        {"n": m, "path": w, "pos": pos, "roundtrip": back.word},
-                    )
-        expected = {(w, s) for w in _ddp_words(n) for s in _slots_of(w)}
+                    return {"n": m, "path": w, "pos": pos, "roundtrip": back.word}
+        expected = {(w, s) for w in _ddp_words(m - 2) for s in _slots_of(w)}
         if seen != expected:
-            return _failed(
-                "L5-bijection",
-                rng,
-                {"n": m, "images": len(seen), "slots": len(expected)},
-            )
-    return _passed("L5-bijection", rng)
+            return {"n": m, "images": len(seen), "slots": len(expected)}
+    return None
 
 
-def _check_l5_count(max_n: int) -> CheckResult:
-    rng = (
-        f"2 <= n <= {max_n} (brute); "
-        f"0 <= n <= {_CLOSED_RANGE} (closed forms)"
+def _check_l5_count(max_n: int) -> dict | None:
+    def brute_rhs(m: int) -> int:
+        row = totals_brute(m - 2)
+        return row.ddp + row.downs + row.rights
+
+    def closed_rhs(m: int) -> int:
+        return central_binomial(m - 2) + u_closed(m - 2) + r_closed(m - 2)
+
+    return _first_mismatch(
+        range(2, max_n + 1),
+        lambda m: totals_brute(m).one_ascents,
+        brute_rhs,
+        "A(n)",
+        "dD+D+R at n-2",
+    ) or _first_mismatch(
+        range(2, _CLOSED_RANGE + 3), a_closed, closed_rhs, "a_closed", "dD+U+R closed at n-2"
     )
-    for m in range(2, max_n + 1):
-        n = m - 2
+
+
+def _check_thm1(max_n: int) -> dict | None:
+    return _first_mismatch(
+        range(2, max_n + 1),
+        a_closed,
+        lambda m: totals_brute(m).one_ascents,
+        "closed",
+        "brute",
+        var="m",
+    )
+
+
+def _check_conv(max_n: int) -> dict | None:
+    return _first_mismatch(range(max_n + 1), r_convolution, r_closed, "convolution", "closed")
+
+
+def _check_eqstar(max_n: int) -> dict | None:
+    def brute_steps(n: int) -> int:
         row = totals_brute(n)
-        lhs = totals_brute(m).one_ascents
-        rhs = row.ddp + row.downs + row.rights
-        if lhs != rhs:
-            return _failed(
-                "L5-count", rng, {"n": m, "A(n)": lhs, "dD+D+R at n-2": rhs}
-            )
-    for n in range(_CLOSED_RANGE + 1):
-        lhs = a_closed(n + 2)
-        rhs = central_binomial(n) + u_closed(n) + r_closed(n)
-        if lhs != rhs:
-            return _failed(
-                "L5-count", rng, {"n": n + 2, "a_closed": lhs, "dD+U+R closed at n-2": rhs}
-            )
-    return _passed("L5-count", rng)
+        return row.rights + row.ups + row.downs
+
+    return _first_mismatch(
+        range(max_n + 1), lambda n: n * totals_brute(n).ddp, brute_steps, "n*dD(n)", "R+U+D"
+    ) or _first_mismatch(
+        range(_CLOSED_RANGE + 1),
+        lambda n: n * central_binomial(n),
+        lambda n: r_closed(n) + 2 * u_closed(n),
+        "n*dD(n) closed",
+        "R+2U closed",
+    )
 
 
-def _check_thm1(max_n: int) -> CheckResult:
-    rng = f"2 <= m <= {max_n}"
-    for m in range(2, max_n + 1):
-        closed = a_closed(m)
-        brute = totals_brute(m).one_ascents
-        if closed != brute:
-            return _failed("THM1", rng, {"m": m, "closed": closed, "brute": brute})
-    return _passed("THM1", rng)
-
-
-def _check_conv(max_n: int) -> CheckResult:
-    rng = f"0 <= n <= {max_n}"
-    for n in range(max_n + 1):
-        conv = r_convolution(n)
-        closed = r_closed(n)
-        if conv != closed:
-            return _failed("CONV", rng, {"n": n, "convolution": conv, "closed": closed})
-    return _passed("CONV", rng)
-
-
-def _check_eqstar(max_n: int) -> CheckResult:
-    rng = f"0 <= n <= {max_n} (brute); 0 <= n <= {_CLOSED_RANGE} (closed forms)"
-    for n in range(max_n + 1):
-        row = totals_brute(n)
-        lhs = n * row.ddp
-        rhs = row.rights + row.ups + row.downs
-        if lhs != rhs:
-            return _failed("EQSTAR", rng, {"n": n, "n*dD(n)": lhs, "R+U+D": rhs})
-    for n in range(_CLOSED_RANGE + 1):
-        lhs = n * central_binomial(n)
-        rhs = r_closed(n) + 2 * u_closed(n)
-        if lhs != rhs:
-            return _failed("EQSTAR", rng, {"n": n, "n*dD(n) closed": lhs, "R+2U closed": rhs})
-    return _passed("EQSTAR", rng)
-
-
-def _check_asym(max_n: int) -> CheckResult:
+def _check_asym(max_n: int) -> dict | None:
     m_lo, m_hi = _ASYM_POINTS
-    rng = f"m in {{{m_lo}, {m_hi}}}"
     dev_lo = abs(asymptotic_ratio(m_lo) - 1.0)
     dev_hi = abs(asymptotic_ratio(m_hi) - 1.0)
     if dev_lo > 0.01:
-        return _failed("ASYM", rng, {"m": m_lo, "deviation": dev_lo, "tolerance": 0.01})
+        return {"m": m_lo, "deviation": dev_lo, "tolerance": 0.01}
     if not dev_hi < dev_lo:
-        return _failed(
-            "ASYM",
-            rng,
-            {"m": m_hi, "deviation": dev_hi, "deviation_at_smaller_m": dev_lo},
-        )
-    return _passed("ASYM", rng)
+        return {"m": m_hi, "deviation": dev_hi, "deviation_at_smaller_m": dev_lo}
+    return None
 
 
 @dataclass(frozen=True)
 class _CheckSpec:
-    run: Callable[[int], CheckResult]
+    run: Callable[[int], dict | None]  # first counterexample at the given range, or None
     oracle: bool  # oracle-backed checks enumerate paths and respect the cap
     default_n: int
     deep_n: int
+    range_text: str  # str.format template; {n} is the range in force
 
+
+_CLOSED_TAIL = f" (brute); 0 <= n <= {_CLOSED_RANGE} (closed forms)"
 
 _CHECKS: dict[str, _CheckSpec] = {
-    "L1-count": _CheckSpec(_check_l1_count, True, 14, 22),
-    "L1-bijection": _CheckSpec(_check_l1_bijection, True, 14, 16),
-    "L2-recursion": _CheckSpec(_check_l2_recursion, True, 14, 20),
-    "L2-decomposition": _CheckSpec(_check_l2_decomposition, True, 14, 20),
-    "L3-recursion": _CheckSpec(_check_l3_recursion, True, 13, 21),
-    "L3-bijection": _CheckSpec(_check_l3_bijection, True, 13, 15),
-    "L4-closed": _CheckSpec(_check_l4_closed, False, 400, 400),
-    "L5-bijection": _CheckSpec(_check_l5_bijection, True, 14, 18),
-    "L5-count": _CheckSpec(_check_l5_count, True, 14, 18),
-    "THM1": _CheckSpec(_check_thm1, True, 14, 22),
-    "CONV": _CheckSpec(_check_conv, False, 300, 300),
-    "EQSTAR": _CheckSpec(_check_eqstar, True, 14, 22),
+    "L1-count": _CheckSpec(_check_l1_count, True, 14, 22, "0 <= n <= {n}"),
+    "L1-bijection": _CheckSpec(_check_l1_bijection, True, 14, 16, "0 <= n <= {n}"),
+    "L2-recursion": _CheckSpec(_check_l2_recursion, True, 14, 20, "even 2 <= n <= {n}"),
+    "L2-decomposition": _CheckSpec(_check_l2_decomposition, True, 14, 20, "even 2 <= n <= {n}"),
+    "L3-recursion": _CheckSpec(_check_l3_recursion, True, 13, 21, "odd 1 <= n <= {n}"),
+    "L3-bijection": _CheckSpec(
+        _check_l3_bijection,
+        True,
+        13,
+        15,
+        f"odd 1 <= n <= {{n}} (bijection); 1 <= k <= {_CATALAN_RANGE} (Catalan argument)",
+    ),
+    "L4-closed": _CheckSpec(
+        _check_l4_closed, False, 400, 400, "1 <= n <= {n} (recursions); base cases n = 1, 2 brute"
+    ),
+    "L5-bijection": _CheckSpec(
+        _check_l5_bijection, True, 14, 18, "2 <= n <= {n} (longer path length)"
+    ),
+    "L5-count": _CheckSpec(_check_l5_count, True, 14, 18, "2 <= n <= {n}" + _CLOSED_TAIL),
+    "THM1": _CheckSpec(_check_thm1, True, 14, 22, "2 <= m <= {n}"),
+    "CONV": _CheckSpec(_check_conv, False, 300, 300, "0 <= n <= {n}"),
+    "EQSTAR": _CheckSpec(_check_eqstar, True, 14, 22, "0 <= n <= {n}" + _CLOSED_TAIL),
     # fixed comparison points; max_n is not consulted
-    "ASYM": _CheckSpec(_check_asym, False, 10000, 10000),
+    "ASYM": _CheckSpec(_check_asym, False, 10000, 10000, "m in {{%d, %d}}" % _ASYM_POINTS),
 }
 
 CHECK_IDS = tuple(_CHECKS)
@@ -438,19 +394,11 @@ def verify_lemma(check_id: str, max_n: int | None = None, deep: bool = False) ->
             f"{check_id} is oracle-backed; max_n {n} exceeds the "
             f"enumeration cap of {DEFAULT_ENUMERATION_CAP}"
         )
-    return spec.run(n)
+    counterexample = spec.run(n)
+    passed = counterexample is None
+    return CheckResult(check_id, spec.range_text.format(n=n), passed, counterexample)
 
 
 def verify_all(max_n: int | None = None, deep: bool = False) -> VerificationReport:
-    """Run every check and assemble the report.
-
-    Ranges are chosen as in :func:`verify_lemma`, except that an explicit
-    ``max_n`` is clamped to the enumeration cap for oracle-backed checks.
-    """
-    results = []
-    for check_id, spec in _CHECKS.items():
-        n = max_n
-        if n is not None and spec.oracle:
-            n = min(n, DEFAULT_ENUMERATION_CAP)
-        results.append(verify_lemma(check_id, n, deep))
-    return VerificationReport(checks=results)
+    """Run every check, each at the range :func:`verify_lemma` picks for it."""
+    return VerificationReport(checks=[verify_lemma(check_id, max_n, deep) for check_id in _CHECKS])

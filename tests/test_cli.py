@@ -46,6 +46,12 @@ class TestEnumerateGolden:
         assert code == 0
         assert json.loads(out) == ["UDR", "RUD", "RRR"]
 
+    def test_negative_cap_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "3", "--cap", "-1")
+        assert code == 2
+        assert out == ""
+        assert "enumeration cap must be non-negative, got -1" in err
+
 
 class TestSequenceGolden:
     @pytest.mark.parametrize(
@@ -305,6 +311,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "all", "--deep", "--max-n", "5")
         assert code == 2
         assert "mutually exclusive" in err
+
+    @pytest.mark.parametrize("check_id", ["all", "THM1"])
+    def test_max_n_beyond_cap_is_usage_error(self, capsys, check_id):
+        code, out, err = run_cli(capsys, "verify", check_id, "--max-n", "30")
+        assert code == 2
+        assert out == ""
+        assert "max_n 30 exceeds the enumeration cap of 26" in err
 
 
 class TestAsymptotic:

@@ -90,6 +90,10 @@ class TestGenerators:
         with pytest.raises(ValueError, match="non-negative"):
             enumerate_ddp(-1)
 
+    def test_negative_cap(self):
+        with pytest.raises(ValueError, match="enumeration cap must be non-negative, got -1"):
+            enumerate_ddp(0, cap=-1)
+
 
 def is_plain(word):
     return "R" not in word and word.count("U") - word.count("D") == -(len(word) % 2)

@@ -15,6 +15,7 @@ from ddpaths import (
     r_closed,
     r_convolution,
     totals_brute,
+    totals_closed,
     u_closed,
 )
 
@@ -67,6 +68,7 @@ class TestOracleEquivalence:
         assert u_closed(n) == row.ups == row.downs
         assert r_closed(n) == row.rights
         assert a_closed(n) == row.one_ascents
+        assert totals_closed(n) == row
 
     @pytest.mark.parametrize("k", range(6))
     def test_catalan_counts_dyck_paths(self, k):

@@ -78,6 +78,12 @@ def test_oracle_checks_refuse_ranges_beyond_cap():
     assert verify_lemma("L4-closed", 500).passed
 
 
+def test_verify_all_refuses_ranges_beyond_cap():
+    # the same rule as verify_lemma: no silent clamp to the cap
+    with pytest.raises(ValueError, match="max_n 27 exceeds the enumeration cap of 26"):
+        verify_all(max_n=27)
+
+
 def test_deep_selects_the_widest_range():
     assert verify_lemma("L3-bijection", deep=True).range_tested.startswith("odd 1 <= n <= 15")
     # an explicit max_n wins over deep
