@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,13 @@ from ddpaths.cli import main
 from ddpaths.verify import CheckResult, VerificationReport
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# a child interpreter imports the same ddpaths as this suite, installed or not
+_PACKAGE_ROOT = str(Path(ddpaths.cli.__file__).resolve().parents[1])
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(capsys, *argv):
@@ -356,6 +364,7 @@ class TestUsageErrors:
             [sys.executable, "-m", "ddpaths", "count", "one-ascents", "5"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout == "10\n"
@@ -374,6 +383,7 @@ class TestOutputBoundary:
             [sys.executable, "-m", "ddpaths", "enumerate", "22"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=CHILD_ENV,
             text=True,
         )
         assert proc.stdout.readline() == "UUUUUUUUUUUDDDDDDDDDDD\n"

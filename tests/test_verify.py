@@ -265,7 +265,7 @@ class TestFaultInjection:
         ones = totals_brute(7).one_ascents
         assert verify_lemma("L5-count", 10) == _failed(
             "L5-count",
-            CLOSED_TAIL_RANGE.format(10),
+            L5_COUNT_RANGE.format(10),
             {"n": 7, "A(n)": ones + 1, "dD+D+R at n-2": ones},
         )
 
@@ -273,7 +273,7 @@ class TestFaultInjection:
         _shift(monkeypatch, "a_closed", a_closed, at=9)
         assert verify_lemma("L5-count", 10) == _failed(
             "L5-count",
-            CLOSED_TAIL_RANGE.format(10),
+            L5_COUNT_RANGE.format(10),
             {"n": 9, "a_closed": a_closed(9) + 1, "dD+U+R closed at n-2": a_closed(9)},
         )
 
@@ -288,7 +288,7 @@ class TestFaultInjection:
         row = totals_brute(4)
         assert verify_lemma("EQSTAR", 10) == _failed(
             "EQSTAR",
-            "0 <= n <= 10 (brute); 0 <= n <= 400 (closed forms)",
+            EQSTAR_RANGE.format(10),
             {"n": 4, "n*dD(n)": 4 * row.ddp, "R+U+D": row.rights + row.ups + row.downs + 1},
         )
 
@@ -296,7 +296,7 @@ class TestFaultInjection:
         _shift(monkeypatch, "u_closed", u_closed, at=4)
         assert verify_lemma("EQSTAR", 10) == _failed(
             "EQSTAR",
-            "0 <= n <= 10 (brute); 0 <= n <= 400 (closed forms)",
+            EQSTAR_RANGE.format(10),
             {
                 "n": 4,
                 "n*dD(n) closed": 4 * central_binomial(4),
@@ -324,7 +324,7 @@ class TestFaultInjection:
         )
 
     def test_overall_fails_with_injected_fault(self, monkeypatch):
-        monkeypatch.setattr(ddpaths.verify, "u_closed", lambda n: u_closed_shifted(n))
+        _shift(monkeypatch, "u_closed", u_closed, at=4)
         report = verify_all(max_n=8)
         assert not report.overall
         failing = [c for c in report.checks if not c.passed]
@@ -332,13 +332,10 @@ class TestFaultInjection:
         assert all(c.counterexample for c in failing)
 
 
-def u_closed_shifted(n):
-    return u_closed(n) + (n == 4)
-
-
 L3_BIJECTION_RANGE = "odd 1 <= n <= {} (bijection); 1 <= k <= 200 (Catalan argument)"
 L4_RANGE = "1 <= n <= {} (recursions); base cases n = 1, 2 brute"
-CLOSED_TAIL_RANGE = "2 <= n <= {} (brute); 0 <= n <= 400 (closed forms)"
+L5_COUNT_RANGE = "2 <= n <= {} (brute); 0 <= n <= 400 (closed forms)"
+EQSTAR_RANGE = "0 <= n <= {} (brute); 0 <= n <= 400 (closed forms)"
 
 
 def _failed(check_id, rng, counterexample):
