@@ -1,6 +1,7 @@
 """The three invertible correspondences, checked exhaustively at small lengths."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from ddpaths import (
 from ddpaths.bijections import BijectionRecord
 from ddpaths.enumeration import _ddp_words, _plain_words
 
+GOLDEN = Path(__file__).parent / "golden"
 
 def apply(fn, word, *args):
     return fn(parse_path(word), *args).word
@@ -67,6 +69,16 @@ class TestReflection:
         assert images == ddps
         for w in ddps:
             assert apply(plain_to_ddp, apply(ddp_to_plain, w)) == w
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_golden_map(self, n):
+        # pins the reflection map itself, not just some bijection between the families
+        lines = (GOLDEN / f"reflection_{n}.txt").read_text().splitlines()
+        pairs = [line.split(" ") for line in lines]
+        assert [plain for plain, _ in pairs] == list(_plain_words(n))
+        for plain, ddp in pairs:
+            assert apply(plain_to_ddp, plain) == ddp
+            assert apply(ddp_to_plain, ddp) == plain
 
 
 class TestUpdown:
@@ -143,6 +155,10 @@ class TestAscentPairing:
             ascent_remove(parse_path("UUDD"), 1)
         with pytest.raises(ValueError, match="not the up step of a 1-ascent"):
             ascent_remove(parse_path("RUD"), 0)  # a right step
+        with pytest.raises(ValueError, match="not the up step of a 1-ascent"):
+            ascent_remove(parse_path("UD"), -1)  # negative: no wrap-around, no clamp to 0
+        with pytest.raises(ValueError, match="not the up step of a 1-ascent"):
+            ascent_remove(parse_path("UD"), 2)  # past the end
         with pytest.raises(ValueError, match="not a dispersed Dyck path"):
             ascent_remove(parse_path("UDU"), 2)
 
