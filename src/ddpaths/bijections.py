@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .formulas import central_binomial, dyck_count
-from .paths import PathWord, is_dispersed_dyck, is_plain_path
+from .paths import _ONE_ASCENT, PathWord, is_dispersed_dyck, is_plain_path
 
 __all__ = [
     "SlotKind",
@@ -106,66 +106,52 @@ def _require_ddp(path: PathWord) -> str:
 def plain_to_ddp(path: PathWord) -> PathWord:
     """Reflect a plain path into a dispersed Dyck path of the same length.
 
-    Scanning left to right: a down step leaving height 0 opens a
-    below-axis excursion and becomes a right step; the steps strictly
-    inside the excursion are flipped (U <-> D); the up step that first
-    returns the excursion to height 0 becomes the closing right step.  An
-    excursion that never returns flips through the end of the word and
-    contributes a single right step.
+    One left-to-right pass with a running height decides each step on its
+    own: a step between heights 0 and -1 (in either direction) becomes a
+    right step, a step strictly below the axis is flipped (U <-> D), and
+    every other step is kept.  So each below-axis excursion turns into a
+    pair of right steps bracketing its flipped interior, and an excursion
+    that never returns contributes a single right step.
     """
     if not is_plain_path(path):
         raise ValueError(f"{path.word!r} is not a plain path")
-    out = list(path.word)
-    n = len(out)
+    out = []
     height = 0
-    i = 0
-    while i < n:
-        ch = out[i]
-        if ch == "D" and height == 0:
-            # find the step that closes the excursion: first return to height 0
-            depth = -1
-            close = None
-            for j in range(i + 1, n):
-                depth += 1 if out[j] == "U" else -1
-                if depth == 0:
-                    close = j
-                    break
-            end = n if close is None else close
-            out[i] = "R"
-            for t in range(i + 1, end):
-                out[t] = _FLIP[out[t]]
-            if close is not None:
-                out[close] = "R"
-            i = end + 1
+    for step in path.word:
+        # low is the lower of the step's two endpoint heights
+        if step == "U":
+            low = height
+            height += 1
         else:
-            height += 1 if ch == "U" else -1
-            i += 1
+            height -= 1
+            low = height
+        if low == -1:
+            out.append("R")
+        elif low < -1:
+            out.append(_FLIP[step])
+        else:
+            out.append(step)
     return PathWord("".join(out))
 
 
 def ddp_to_plain(path: PathWord) -> PathWord:
     """Exact inverse of :func:`plain_to_ddp`.
 
-    Numbering right steps from 0 left to right, each even-indexed right
-    step becomes a down step, each odd-indexed one an up step, and the
-    steps strictly between the two (or after a final unpaired even right
-    step) are flipped back.
+    One pass with a parity flag that toggles at each right step: numbering
+    right steps from 0, an even-numbered one becomes a down step and an
+    odd-numbered one an up step, and the steps between the two (or after a
+    final unpaired even right step) are flipped back.
     """
-    word = _require_ddp(path)
-    out = list(word)
-    n = len(out)
-    rights = [i for i, ch in enumerate(out) if ch == "R"]
-    for pair_start in range(0, len(rights), 2):
-        x = rights[pair_start]
-        out[x] = "D"
-        if pair_start + 1 < len(rights):
-            x2 = rights[pair_start + 1]
-            out[x2] = "U"
-            end = x2
+    out = []
+    inside = False  # past an even-numbered right step whose partner is still ahead
+    for step in _require_ddp(path):
+        if step == "R":
+            out.append("U" if inside else "D")
+            inside = not inside
+        elif inside:
+            out.append(_FLIP[step])
         else:
-            end = n
-        for t in range(x + 1, end):
-            out[t] = _FLIP[out[t]]
+            out.append(step)
     return PathWord("".join(out))
 
 
@@ -219,16 +205,11 @@ def ascent_remove(path: PathWord, pos: int) -> tuple[PathWord, SlotRef]:
     or right step at ``pos - 1`` (same index in the shortened path).
     """
     word = _require_ddp(path)
-    n = len(word)
-    if not (
-        0 <= pos < n
-        and word[pos] == "U"
-        and (pos == 0 or word[pos - 1] != "U")
-        and (pos + 1 == n or word[pos + 1] != "U")
-    ):
+    # re clamps a negative pos to 0, so the guard keeps pos -1 from matching at 0
+    if not (0 <= pos and _ONE_ASCENT.match(word, pos)):
         raise ValueError(f"position {pos} is not the up step of a 1-ascent in {word!r}")
     # in a DDP a 1-ascent is never last and never precedes a right step
-    if pos + 1 == n or word[pos + 1] != "D":
+    if pos + 1 == len(word) or word[pos + 1] != "D":
         raise ValueError(f"{word!r}: step {pos + 1} after the 1-ascent is not a down step")
     shortened = PathWord(word[:pos] + word[pos + 2 :])
     if pos == 0:

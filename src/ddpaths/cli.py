@@ -53,13 +53,21 @@ from .verify import CHECK_IDS, VerificationReport, verify_all, verify_lemma
 
 __all__ = ["main", "build_parser"]
 
-_COUNT_CLOSED = {
-    "paths": central_binomial,
-    "dyck": dyck_count,
-    "up": u_closed,
-    "down": u_closed,
-    "right": r_closed,
-    "one-ascents": a_closed,
+# count stat -> (its field in a brute-force CountRow, its closed form)
+_STATS = {
+    "paths": ("ddp", central_binomial),
+    "dyck": ("dyck", dyck_count),
+    "up": ("ups", u_closed),
+    "down": ("downs", u_closed),
+    "right": ("rights", r_closed),
+    "one-ascents": ("one_ascents", a_closed),
+}
+
+_MAPS = {
+    "reflection": plain_to_ddp,
+    "reflection-inv": ddp_to_plain,
+    "updown": updown_forward,
+    "updown-inv": updown_inverse,
 }
 
 _SEQUENCES = {
@@ -80,7 +88,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     n, method = args.n, args.method
     if args.stat == "k-ascents":
         if args.k is None:
-            raise ValueError("--k is required for stat k-ascents")
+            raise ValueError("-k is required for stat k-ascents")
         if method != "brute":
             if args.k > 1:
                 raise ValueError(
@@ -94,25 +102,17 @@ def _cmd_count(args: argparse.Namespace) -> int:
         print(k_ascent_total(n, args.k, cap=args.cap))
         return 0
     if args.k is not None:
-        raise ValueError("--k only applies to stat k-ascents")
+        raise ValueError("-k only applies to stat k-ascents")
+    field, closed = _STATS[args.stat]
     if method == "closed":
-        print(_COUNT_CLOSED[args.stat](n))
+        print(closed(n))
         return 0
     if method == "dp":
-        if args.stat != "paths":
+        if field != "ddp":  # the DP counter counts paths only
             raise ValueError(f"method dp only supports stat paths, not {args.stat}")
         print(count_ddp_dp(n))
         return 0
-    row = totals_brute(n, cap=args.cap)
-    value = {
-        "paths": row.ddp,
-        "dyck": row.dyck,
-        "up": row.ups,
-        "down": row.downs,
-        "right": row.rights,
-        "one-ascents": row.one_ascents,
-    }[args.stat]
-    print(value)
+    print(getattr(totals_brute(n, cap=args.cap), field))
     return 0
 
 
@@ -157,7 +157,7 @@ def _parse_slot(text: str) -> SlotRef:
         return SlotRef(SlotKind.START)
     if kind not in ("down", "right"):
         raise ValueError(f"unknown slot kind {text!r}; expected start, down:IDX or right:IDX")
-    if not idx.isdigit():
+    if not idx.isdecimal():
         raise ValueError(f"slot {text!r} needs a non-negative step index, e.g. {kind}:0")
     step_kind = SlotKind.DOWN_STEP if kind == "down" else SlotKind.RIGHT_STEP
     return SlotRef(step_kind, int(idx))
@@ -177,13 +177,7 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
         slot = _parse_slot(args.slot)
         record = BijectionRecord(input=path, output=ascent_insert(path, slot), slot=slot)
     else:
-        mapper = {
-            "reflection": plain_to_ddp,
-            "reflection-inv": ddp_to_plain,
-            "updown": updown_forward,
-            "updown-inv": updown_inverse,
-        }[name]
-        record = BijectionRecord(input=path, output=mapper(path))
+        record = BijectionRecord(input=path, output=_MAPS[name](path))
     print(record.to_json())
     return 0
 
@@ -272,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="print one exact total for a given length")
     p.add_argument(
         "stat",
-        choices=["paths", "dyck", "up", "down", "right", "one-ascents", "k-ascents"],
+        choices=[*_STATS, "k-ascents"],
         help="which total to compute",
     )
     p.add_argument("n", type=int, help="path length")
@@ -307,14 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bijection", help="apply one invertible correspondence to a path")
     p.add_argument(
         "name",
-        choices=[
-            "reflection",
-            "reflection-inv",
-            "updown",
-            "updown-inv",
-            "ascent-remove",
-            "ascent-insert",
-        ],
+        choices=[*_MAPS, "ascent-remove", "ascent-insert"],
         help="which map to apply",
     )
     p.add_argument("path", help="input path word")

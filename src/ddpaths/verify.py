@@ -46,6 +46,7 @@ from .formulas import (
     asymptotic_ratio,
     catalan,
     central_binomial,
+    dyck_count,
     r_closed,
     r_convolution,
     u_closed,
@@ -129,7 +130,10 @@ def _check_l1_count(max_n: int) -> dict | None:
         closed = central_binomial(n)
         if not enumerated == dp == closed:
             return {"n": n, "enumerated": enumerated, "dp": dp, "closed": closed}
-    return None
+    # the R-free paths are the Dyck paths, counted by the Catalan numbers
+    return _first_mismatch(
+        range(max_n + 1), lambda n: totals_brute(n).dyck, dyck_count, "enumerated dyck", "catalan"
+    )
 
 
 def _check_l1_bijection(max_n: int) -> dict | None:

@@ -151,7 +151,12 @@ class TestCount:
     def test_k_ascents_requires_k(self, capsys):
         code, _, err = run_cli(capsys, "count", "k-ascents", "8", "--method", "brute")
         assert code == 2
-        assert "--k is required" in err
+        assert "error: -k is required for stat k-ascents" in err
+
+    def test_k_only_applies_to_k_ascents(self, capsys):
+        code, _, err = run_cli(capsys, "count", "paths", "8", "-k", "2")
+        assert code == 2
+        assert "error: -k only applies to stat k-ascents" in err
 
     def test_dp_only_counts_paths(self, capsys):
         code, _, err = run_cli(capsys, "count", "dyck", "4", "--method", "dp")
@@ -268,9 +273,14 @@ class TestBijection:
         assert "--pos" in err
 
     def test_bad_slot_spec(self, capsys):
-        code, _, err = run_cli(capsys, "bijection", "ascent-insert", "UD", "--slot", "middle:1")
-        assert code == 2
-        assert "slot" in err
+        for spec, message in [
+            ("middle:1", "unknown slot kind 'middle:1'"),
+            # '²' passes str.isdigit() but int() rejects it
+            ("down:²", "slot 'down:²' needs a non-negative step index"),
+        ]:
+            code, _, err = run_cli(capsys, "bijection", "ascent-insert", "UD", "--slot", spec)
+            assert code == 2
+            assert f"error: {message}" in err
 
 
 class TestVerify:

@@ -198,6 +198,12 @@ class TestFaultInjection:
             "L1-count", "0 <= n <= 10", {"n": 5, "enumerated": 11, "dp": 10, "closed": 10}
         )
 
+    def test_l1_count_dyck(self, monkeypatch):
+        _shift_totals(monkeypatch, "dyck", at=4)
+        assert verify_lemma("L1-count", 10) == _failed(
+            "L1-count", "0 <= n <= 10", {"n": 4, "enumerated dyck": 3, "catalan": 2}
+        )
+
     def test_l1_bijection(self, monkeypatch):
         def broken(path):
             return PathWord("RRR") if path.word == "DDU" else plain_to_ddp(path)
