@@ -25,6 +25,7 @@ from ddpaths.enumeration import _ddp_words, _plain_words
 
 GOLDEN = Path(__file__).parent / "golden"
 
+
 def apply(fn, word, *args):
     return fn(parse_path(word), *args).word
 
