@@ -25,6 +25,7 @@ from ddpaths import (
     totals_brute,
     u_closed,
     updown_forward,
+    updown_inverse,
     verify_all,
     verify_lemma,
 )
@@ -216,6 +217,20 @@ class TestFaultInjection:
             {"n": 3, "plain": "DDU", "image": "RRR", "roundtrip": roundtrip},
         )
 
+    def test_l1_bijection_onto(self, monkeypatch):
+        # DDU <-> UUU round-trips, but UUU is no DDP and RUD is left without a preimage
+        def forward(path):
+            return PathWord("UUU") if path.word == "DDU" else plain_to_ddp(path)
+
+        def backward(path):
+            return PathWord("DDU") if path.word == "UUU" else ddp_to_plain(path)
+
+        monkeypatch.setattr(ddpaths.verify, "plain_to_ddp", forward)
+        monkeypatch.setattr(ddpaths.verify, "ddp_to_plain", backward)
+        assert verify_lemma("L1-bijection", 10) == _failed(
+            "L1-bijection", "0 <= n <= 10", {"n": 3, "missing": ["RUD"], "extra": ["UUU"]}
+        )
+
     def test_l2_recursion_and_decomposition(self, monkeypatch):
         _shift_totals(monkeypatch, "rights", at=6)
         rights = totals_brute(6).rights
@@ -245,6 +260,22 @@ class TestFaultInjection:
             "L3-bijection",
             L3_BIJECTION_RANGE.format(10),
             {"n": 3, "path": "RUD", "image": image, "roundtrip": image},
+        )
+
+    def test_l3_bijection_onto(self, monkeypatch):
+        # RUD <-> DD round-trips and drops one up step, but DD has no right step
+        def forward(path):
+            return PathWord("DD") if path.word == "RUD" else updown_forward(path)
+
+        def backward(path):
+            return PathWord("RUD") if path.word == "DD" else updown_inverse(path)
+
+        monkeypatch.setattr(ddpaths.verify, "updown_forward", forward)
+        monkeypatch.setattr(ddpaths.verify, "updown_inverse", backward)
+        assert verify_lemma("L3-bijection", 10) == _failed(
+            "L3-bijection",
+            L3_BIJECTION_RANGE.format(10),
+            {"n": 3, "missing": ["RR"], "extra": ["DD"]},
         )
 
     def test_l3_bijection_catalan_argument(self, monkeypatch):
