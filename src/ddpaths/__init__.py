@@ -3,110 +3,23 @@
 Enumeration, per-path statistics, invertible path correspondences,
 closed-form counters in exact integer arithmetic, and a verification
 harness that cross-checks every counter against brute force.
+
+The public names are those in the ``__all__`` lists of the modules
+``paths``, ``enumeration``, ``bijections``, ``formulas`` and ``verify``;
+each is declared there once and re-exported here.
 """
 
-from .paths import (
-    PathClass,
-    PathStats,
-    PathWord,
-    Step,
-    classify,
-    is_dispersed_dyck,
-    is_dyck,
-    is_plain_path,
-    one_ascent_positions,
-    parse_path,
-    stats,
-)
-from .enumeration import (
-    DEFAULT_ENUMERATION_CAP,
-    CountRow,
-    CountTable,
-    DistributionTable,
-    count_ddp_dp,
-    enumerate_ddp,
-    enumerate_dyck,
-    enumerate_plain,
-    k_ascent_total,
-    one_ascent_distribution,
-    totals_brute,
-)
-from .bijections import (
-    BijectionRecord,
-    SlotKind,
-    SlotRef,
-    ascent_insert,
-    ascent_remove,
-    ddp_to_plain,
-    plain_to_ddp,
-    r_pair_decomposition,
-    updown_forward,
-    updown_inverse,
-)
-from .formulas import (
-    AsymptoticEstimate,
-    a_asymptotic,
-    a_closed,
-    asymptotic_ratio,
-    catalan,
-    central_binomial,
-    dyck_count,
-    r_closed,
-    r_convolution,
-    totals_closed,
-    u_closed,
-)
-from .verify import CHECK_IDS, CheckResult, VerificationReport, verify_all, verify_lemma
+from .paths import *
+from .enumeration import *
+from .bijections import *
+from .formulas import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PathClass",
-    "PathStats",
-    "PathWord",
-    "Step",
-    "classify",
-    "is_dispersed_dyck",
-    "is_dyck",
-    "is_plain_path",
-    "one_ascent_positions",
-    "parse_path",
-    "stats",
-    "DEFAULT_ENUMERATION_CAP",
-    "CountRow",
-    "CountTable",
-    "DistributionTable",
-    "count_ddp_dp",
-    "enumerate_ddp",
-    "enumerate_dyck",
-    "enumerate_plain",
-    "k_ascent_total",
-    "one_ascent_distribution",
-    "totals_brute",
-    "BijectionRecord",
-    "SlotKind",
-    "SlotRef",
-    "ascent_insert",
-    "ascent_remove",
-    "ddp_to_plain",
-    "plain_to_ddp",
-    "r_pair_decomposition",
-    "updown_forward",
-    "updown_inverse",
-    "AsymptoticEstimate",
-    "a_asymptotic",
-    "a_closed",
-    "asymptotic_ratio",
-    "catalan",
-    "central_binomial",
-    "dyck_count",
-    "r_closed",
-    "r_convolution",
-    "totals_closed",
-    "u_closed",
-    "CHECK_IDS",
-    "CheckResult",
-    "VerificationReport",
-    "verify_all",
-    "verify_lemma",
-]
+__all__ = []
+__all__ += paths.__all__
+__all__ += enumeration.__all__
+__all__ += bijections.__all__
+__all__ += formulas.__all__
+__all__ += verify.__all__

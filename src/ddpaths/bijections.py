@@ -21,8 +21,9 @@ Three constructions, each with its exact inverse:
 totals right steps of even length by summing, over all admissible
 position pairs, the product of the free-segment counts.
 
-Every function validates its domain eagerly and only ever emits valid
-paths, so downstream checks can assume class validity.
+Every map takes a :class:`PathWord` or a raw word, as the functions of
+``paths`` do.  Every function validates its domain eagerly and only ever
+emits valid paths, so downstream checks can assume class validity.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .formulas import central_binomial, dyck_count
-from .paths import _ONE_ASCENT, PathWord, is_dispersed_dyck, is_plain_path
+from .paths import _ONE_ASCENT, PathWord, _word_of, is_dispersed_dyck, is_plain_path
 
 __all__ = [
     "SlotKind",
@@ -97,13 +98,14 @@ class BijectionRecord:
         )
 
 
-def _require_ddp(path: PathWord) -> str:
+def _require_ddp(path: PathWord | str) -> str:
+    # test first, then unwrap: a PathWord is not scanned for its alphabet again
     if not is_dispersed_dyck(path):
-        raise ValueError(f"{path.word!r} is not a dispersed Dyck path")
-    return path.word
+        raise ValueError(f"{_word_of(path)!r} is not a dispersed Dyck path")
+    return _word_of(path)
 
 
-def plain_to_ddp(path: PathWord) -> PathWord:
+def plain_to_ddp(path: PathWord | str) -> PathWord:
     """Reflect a plain path into a dispersed Dyck path of the same length.
 
     One left-to-right pass with a running height decides each step on its
@@ -114,10 +116,10 @@ def plain_to_ddp(path: PathWord) -> PathWord:
     that never returns contributes a single right step.
     """
     if not is_plain_path(path):
-        raise ValueError(f"{path.word!r} is not a plain path")
+        raise ValueError(f"{_word_of(path)!r} is not a plain path")
     out = []
     height = 0
-    for step in path.word:
+    for step in _word_of(path):
         # low is the lower of the step's two endpoint heights
         if step == "U":
             low = height
@@ -134,7 +136,7 @@ def plain_to_ddp(path: PathWord) -> PathWord:
     return PathWord("".join(out))
 
 
-def ddp_to_plain(path: PathWord) -> PathWord:
+def ddp_to_plain(path: PathWord | str) -> PathWord:
     """Exact inverse of :func:`plain_to_ddp`.
 
     One pass with a parity flag that toggles at each right step: numbering
@@ -155,7 +157,7 @@ def ddp_to_plain(path: PathWord) -> PathWord:
     return PathWord("".join(out))
 
 
-def updown_forward(path: PathWord) -> PathWord:
+def updown_forward(path: PathWord | str) -> PathWord:
     """Map an odd-length DDP ending in a down step to an even-length DDP with a right step.
 
     The greatest-position up step leaving height 0 becomes a right step
@@ -182,7 +184,7 @@ def updown_forward(path: PathWord) -> PathWord:
     return PathWord(word[:last_up_from_axis] + "R" + word[last_up_from_axis + 1 : n - 1])
 
 
-def updown_inverse(path: PathWord) -> PathWord:
+def updown_inverse(path: PathWord | str) -> PathWord:
     """Exact inverse of :func:`updown_forward`.
 
     The greatest-position right step becomes an up step and a trailing
@@ -197,7 +199,7 @@ def updown_inverse(path: PathWord) -> PathWord:
     return PathWord(word[:last_right] + "U" + word[last_right + 1 :] + "D")
 
 
-def ascent_remove(path: PathWord, pos: int) -> tuple[PathWord, SlotRef]:
+def ascent_remove(path: PathWord | str, pos: int) -> tuple[PathWord, SlotRef]:
     """Delete the 1-ascent at ``pos`` and its following down step.
 
     Returns the shortened path plus the slot describing what precedes the
@@ -208,9 +210,7 @@ def ascent_remove(path: PathWord, pos: int) -> tuple[PathWord, SlotRef]:
     # re clamps a negative pos to 0, so the guard keeps pos -1 from matching at 0
     if not (0 <= pos and _ONE_ASCENT.match(word, pos)):
         raise ValueError(f"position {pos} is not the up step of a 1-ascent in {word!r}")
-    # in a DDP a 1-ascent is never last and never precedes a right step
-    if pos + 1 == len(word) or word[pos + 1] != "D":
-        raise ValueError(f"{word!r}: step {pos + 1} after the 1-ascent is not a down step")
+    # word[pos + 1] is "D": a DDP never ends right after a U, and an R sits only on the axis
     shortened = PathWord(word[:pos] + word[pos + 2 :])
     if pos == 0:
         return shortened, START
@@ -218,7 +218,7 @@ def ascent_remove(path: PathWord, pos: int) -> tuple[PathWord, SlotRef]:
     return shortened, SlotRef(kind, pos - 1)
 
 
-def ascent_insert(path: PathWord, slot: SlotRef) -> PathWord:
+def ascent_insert(path: PathWord | str, slot: SlotRef) -> PathWord:
     """Insert an up-down pair right after ``slot``; exact inverse of :func:`ascent_remove`.
 
     The inserted up step is a 1-ascent of the result because the step in

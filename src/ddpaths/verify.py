@@ -113,6 +113,13 @@ def _first_mismatch(
     return None
 
 
+def _onto_mismatch(n: int, images: set[str], target: set[str]) -> dict | None:
+    """Counterexample naming up to three missed and three stray words, else ``None``."""
+    if images == target:
+        return None
+    return {"n": n, "missing": sorted(target - images)[:3], "extra": sorted(images - target)[:3]}
+
+
 def _slots_of(word: str) -> list[SlotRef]:
     slots = [SlotRef(SlotKind.START)]
     for i, ch in enumerate(word):
@@ -138,7 +145,6 @@ def _check_l1_count(max_n: int) -> dict | None:
 
 def _check_l1_bijection(max_n: int) -> dict | None:
     for n in range(max_n + 1):
-        ddps = set(_ddp_words(n))
         images = set()
         for w in _plain_words(n):
             q = plain_to_ddp(PathWord(w))
@@ -146,14 +152,10 @@ def _check_l1_bijection(max_n: int) -> dict | None:
             if back.word != w:
                 return {"n": n, "plain": w, "image": q.word, "roundtrip": back.word}
             images.add(q.word)
-        if images != ddps:
-            missing = sorted(ddps - images)[:3]
-            extra = sorted(images - ddps)[:3]
-            return {"n": n, "missing": missing, "extra": extra}
-        for w in ddps:
-            back = plain_to_ddp(ddp_to_plain(PathWord(w)))
-            if back.word != w:
-                return {"n": n, "ddp": w, "roundtrip": back.word}
+        # a round trip on every plain word plus onto gives the DDP-side round trip
+        mismatch = _onto_mismatch(n, images, set(_ddp_words(n)))
+        if mismatch:
+            return mismatch
     return None
 
 
@@ -201,10 +203,9 @@ def _check_l3_bijection(max_n: int) -> dict | None:
             if q.word.count("U") != w.count("U") - 1:
                 return {"n": n, "path": w, "image": q.word, "detail": "up count"}
             images.add(q.word)
-        if images != target:
-            missing = sorted(target - images)[:3]
-            extra = sorted(images - target)[:3]
-            return {"n": n, "missing": missing, "extra": extra}
+        mismatch = _onto_mismatch(n, images, target)
+        if mismatch:
+            return mismatch
     for k in range(1, _CATALAN_RANGE + 1):
         c_low = math.comb(2 * k, k - 1)
         if k * catalan(k) != c_low:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ddpaths import (
+    PathWord,
     SlotKind,
     SlotRef,
     ascent_insert,
@@ -28,6 +29,44 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def apply(fn, word, *args):
     return fn(parse_path(word), *args).word
+
+
+# each map with an argument in its domain and a word of the right alphabet outside it
+MAPS = [
+    (plain_to_ddp, "DDU", (), "RUD", "is not a plain path"),
+    (ddp_to_plain, "RUD", (), "DU", "is not a dispersed Dyck path"),
+    (updown_forward, "RUD", (), "DUD", "is not a dispersed Dyck path"),
+    (updown_inverse, "RR", (), "DU", "is not a dispersed Dyck path"),
+    (ascent_remove, "RUD", (1,), "DUD", "is not a dispersed Dyck path"),
+    (ascent_insert, "R", (SlotRef(SlotKind.RIGHT_STEP, 0),), "DU", "is not a dispersed Dyck path"),
+]
+MAP_IDS = [fn.__name__ for fn, *_ in MAPS]
+
+
+@pytest.mark.parametrize("fn,word,args,outside,message", MAPS, ids=MAP_IDS)
+class TestRawWords:
+    """Every map takes a raw word as the functions of ``paths`` do."""
+
+    def test_str_matches_pathword(self, fn, word, args, outside, message):
+        assert fn(word, *args) == fn(parse_path(word), *args)
+
+    def test_bad_character(self, fn, word, args, outside, message):
+        with pytest.raises(ValueError, match="invalid step character 'X' at position 1"):
+            fn(word[0] + "X" + word[1:], *args)
+
+    def test_outside_the_domain(self, fn, word, args, outside, message):
+        with pytest.raises(ValueError, match=f"^'{outside}' {message}$"):
+            fn(outside, *args)
+
+    def test_pathword_is_not_scanned_again(self, fn, word, args, outside, message, monkeypatch):
+        path = parse_path(word)
+        scanned = []
+        validate = PathWord.__post_init__
+        monkeypatch.setattr(
+            PathWord, "__post_init__", lambda self: scanned.append(self.word) or validate(self)
+        )
+        fn(path, *args)
+        assert word not in scanned
 
 
 class TestReflection:

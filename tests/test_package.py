@@ -11,7 +11,7 @@ from ddpaths import bijections, enumeration, formulas, paths, verify
 
 if sys.version_info >= (3, 11):
     import tomllib
-else:  # pragma: no cover - Python 3.10 has no tomllib
+else:  # Python 3.10 has no tomllib
     tomllib = None
 
 ROOT = Path(__file__).resolve().parent.parent
