@@ -62,9 +62,12 @@ class TestRawWords:
         path = parse_path(word)
         scanned = []
         validate = PathWord.__post_init__
-        monkeypatch.setattr(
-            PathWord, "__post_init__", lambda self: scanned.append(self.word) or validate(self)
-        )
+
+        def recording(self):
+            scanned.append(self.word)
+            validate(self)
+
+        monkeypatch.setattr(PathWord, "__post_init__", recording)
         fn(path, *args)
         assert word not in scanned
 
