@@ -31,6 +31,7 @@ from .bijections import (
 from .enumeration import (
     DEFAULT_ENUMERATION_CAP,
     CountTable,
+    _require_enumerable,
     count_ddp_dp,
     enumerate_ddp,
     enumerate_dyck,
@@ -49,7 +50,7 @@ from .formulas import (
     u_closed,
 )
 from .paths import parse_path, stats
-from .verify import CHECK_IDS, VerificationReport, verify_all, verify_lemma
+from .verify import CHECK_IDS, verify_all
 
 __all__ = ["main", "build_parser"]
 
@@ -134,6 +135,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_totals(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"largest length must be non-negative, got {args.n}")
+    if args.method == "brute":  # refuse a length over the cap before any row is computed
+        _require_enumerable(args.n, args.cap)
     table = CountTable()
     for n in range(args.n + 1):
         if args.method == "brute":
@@ -185,26 +188,10 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.deep and args.max_n is not None:
         raise ValueError("--deep and --max-n are mutually exclusive")
-    requested = args.ids or ["all"]
-    unknown = [i for i in requested if i != "all" and i not in CHECK_IDS]
-    if unknown:
-        known = ", ".join(CHECK_IDS)
-        raise ValueError(
-            f"unknown check id(s): {', '.join(unknown)}; expected 'all' or one of: {known}"
-        )
-    if "all" in requested:
-        if len(requested) > 1:
-            raise ValueError("'all' cannot be combined with individual check ids")
-        report = verify_all(max_n=args.max_n, deep=args.deep)
-    else:
-        wanted = set(requested)
-        report = VerificationReport(
-            checks=[
-                verify_lemma(check_id, args.max_n, args.deep)
-                for check_id in CHECK_IDS
-                if check_id in wanted
-            ]
-        )
+    if "all" in args.ids and len(args.ids) > 1:
+        raise ValueError("'all' cannot be combined with individual check ids")
+    ids = [i for i in args.ids if i != "all"] or None  # no ids, or just "all": every check
+    report = verify_all(ids=ids, max_n=args.max_n, deep=args.deep)
     print(report.to_json())
     return 0 if report.overall else 1
 

@@ -10,7 +10,8 @@ A check is a function of the range ``max_n`` that returns its first
 counterexample as a ``dict`` (concrete enough to replay through the CLI),
 or ``None`` when it passes.  The check ids, their ranges and the text that
 describes a range live in ``_CHECKS``; :func:`verify_lemma` alone turns a
-check's outcome into a :class:`CheckResult`.
+check's outcome into a :class:`CheckResult`, and :func:`verify_all` alone
+selects checks and builds a :class:`VerificationReport`.
 
 Checks are independent and deterministic: the report for a given
 ``(ids, max_n)`` is identical across runs.
@@ -258,8 +259,9 @@ def _check_l5_bijection(max_n: int) -> dict | None:
     for m in range(2, max_n + 1):
         seen: set[tuple[str, SlotRef]] = set()
         for w in _ddp_words(m):
+            path = PathWord(w)
             for pos in one_ascent_positions(w):
-                shortened, slot = ascent_remove(PathWord(w), pos)
+                shortened, slot = ascent_remove(path, pos)
                 key = (shortened.word, slot)
                 if key in seen:
                     detail = "duplicate (path, slot) image"
@@ -376,18 +378,17 @@ _CHECKS: dict[str, _CheckSpec] = {
 CHECK_IDS = tuple(_CHECKS)
 
 
-def verify_lemma(check_id: str, max_n: int | None = None, deep: bool = False) -> CheckResult:
-    """Run one check at ``max_n``, else at its widest range if ``deep``, else its standard one.
-
-    Oracle-backed checks refuse ranges beyond the enumeration cap; the
-    arithmetic checks (L4-closed, CONV, and the closed-form tails) accept
-    any range.  ASYM compares at fixed points and ignores ``max_n``.
-    """
-    try:
-        spec = _CHECKS[check_id]
-    except KeyError:
+def _require_known(ids: Iterable[str]) -> None:
+    unknown = [i for i in ids if i not in _CHECKS]
+    if unknown:
         known = ", ".join(CHECK_IDS)
-        raise ValueError(f"unknown check id {check_id!r}; expected one of: {known}") from None
+        raise ValueError(f"unknown check id(s): {', '.join(unknown)}; expected one of: {known}")
+
+
+def _resolve(check_id: str, max_n: int | None, deep: bool) -> tuple[_CheckSpec, int]:
+    """The spec of ``check_id`` and the range it runs at; raises if either is refused."""
+    _require_known([check_id])
+    spec = _CHECKS[check_id]
     if max_n is not None:
         n = max_n
     else:
@@ -399,11 +400,29 @@ def verify_lemma(check_id: str, max_n: int | None = None, deep: bool = False) ->
             f"{check_id} is oracle-backed; max_n {n} exceeds the "
             f"enumeration cap of {DEFAULT_ENUMERATION_CAP}"
         )
+    return spec, n
+
+
+def verify_lemma(check_id: str, max_n: int | None = None, deep: bool = False) -> CheckResult:
+    """Run one check at ``max_n``, else at its widest range if ``deep``, else its standard one.
+
+    Oracle-backed checks refuse ranges beyond the enumeration cap; the
+    arithmetic checks (L4-closed, CONV, and the closed-form tails) accept
+    any range.  ASYM compares at fixed points and ignores ``max_n``.
+    """
+    spec, n = _resolve(check_id, max_n, deep)
     counterexample = spec.run(n)
     passed = counterexample is None
     return CheckResult(check_id, spec.range_text.format(n=n), passed, counterexample)
 
 
-def verify_all(max_n: int | None = None, deep: bool = False) -> VerificationReport:
-    """Run every check, each at the range :func:`verify_lemma` picks for it."""
-    return VerificationReport(checks=[verify_lemma(check_id, max_n, deep) for check_id in _CHECKS])
+def verify_all(
+    max_n: int | None = None, deep: bool = False, ids: Iterable[str] | None = None
+) -> VerificationReport:
+    """Run the checks in ``ids`` (default: all) in ``CHECK_IDS`` order once all are accepted."""
+    wanted = CHECK_IDS if ids is None else list(ids)
+    _require_known(wanted)
+    selected = [i for i in CHECK_IDS if i in wanted]
+    for check_id in selected:
+        _resolve(check_id, max_n, deep)
+    return VerificationReport(checks=[verify_lemma(i, max_n, deep) for i in selected])

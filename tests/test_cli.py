@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import ddpaths.cli
+import ddpaths.verify
 from ddpaths.cli import main
 from ddpaths.verify import CheckResult, VerificationReport
 
@@ -174,11 +176,13 @@ class TestCount:
         assert out == "155117520\n"  # C(30, 15)
 
     def test_cap_override(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "count", "paths", "27", "--method", "dp", "--cap", "27"
-        )
+        code, out, err = run_cli(capsys, "count", "paths", "5", "--method", "brute", "--cap", "4")
+        assert code == 2
+        assert out == ""
+        assert "cap of 4" in err
+        code, out, _ = run_cli(capsys, "count", "paths", "5", "--method", "brute", "--cap", "5")
         assert code == 0
-        assert out == "20058300\n"  # C(27, 13)
+        assert out == "10\n"  # C(5, 2)
 
 
 class TestStats:
@@ -221,6 +225,15 @@ class TestTotals:
         assert code == 2
         assert out == ""
         assert "non-negative" in err
+
+    def test_brute_over_cap_refused_before_any_row(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ddpaths.cli, "totals_brute", lambda *a, **kw: calls.append(a))
+        code, out, err = run_cli(capsys, "totals", "18", "--method", "brute", "--cap", "16")
+        assert code == 2
+        assert out == ""
+        assert "length 18 exceeds the enumeration cap of 16" in err
+        assert calls == []
 
     def test_json_format(self, capsys):
         _, out, _ = run_cli(capsys, "totals", "1", "--format", "json")
@@ -306,6 +319,25 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "bogus-id")
         assert code == 2
         assert "unknown check id" in err
+
+    def test_request_is_refused_before_any_check_runs(self, capsys, monkeypatch):
+        # L4-closed accepts N = 3000 and would run for seconds; THM1 refuses it
+        calls = []
+        spec = ddpaths.verify._CHECKS["L4-closed"]
+        monkeypatch.setitem(
+            ddpaths.verify._CHECKS, "L4-closed", replace(spec, run=lambda n: calls.append(n))
+        )
+        code, out, err = run_cli(capsys, "verify", "L4-closed", "THM1", "--max-n", "3000")
+        assert code == 2
+        assert out == ""
+        assert "THM1 is oracle-backed; max_n 3000 exceeds the enumeration cap" in err
+        assert calls == []
+
+    def test_all_mixed_with_ids_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "all", "THM1")
+        assert code == 2
+        assert out == ""
+        assert "'all' cannot be combined" in err
 
     def test_default_runs_everything(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-n", "6")

@@ -1,5 +1,6 @@
 """The package as a whole: its public surface, its version and its source layout."""
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -54,3 +55,32 @@ def test_source_lines_fit_the_column_limit():
         if len(line) > MAX_COLUMNS
     ]
     assert not long_lines
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_scan_flags_a_dead_import():
+    source = "import json\nimport math\nfrom os import path, sep\nprint(math.pi, sep)\n"
+    assert _unused_imports(source) == ["json", "path"]
+
+
+def test_modules_use_every_name_they_import():
+    src = ROOT / "src" / "ddpaths"
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(path.read_text())
+    ]
+    assert not unused

@@ -85,6 +85,27 @@ def test_verify_all_refuses_ranges_beyond_cap():
         verify_all(max_n=27)
 
 
+def test_verify_all_refuses_the_whole_selection_before_running(monkeypatch):
+    calls = []
+    spec = ddpaths.verify._CHECKS["L4-closed"]
+    spy = dataclasses.replace(spec, run=lambda n: calls.append(n))
+    monkeypatch.setitem(ddpaths.verify._CHECKS, "L4-closed", spy)
+    with pytest.raises(ValueError, match="THM1 is oracle-backed; max_n 30 exceeds"):
+        verify_all(ids=["L4-closed", "THM1"], max_n=30)
+    assert calls == []
+
+
+def test_verify_all_runs_selected_ids_in_canonical_order():
+    report = verify_all(ids=["CONV", "L1-count"], max_n=8)
+    assert [c.check_id for c in report.checks] == ["L1-count", "CONV"]
+    assert report.overall
+
+
+def test_verify_all_names_every_unknown_id():
+    with pytest.raises(ValueError, match=r"unknown check id\(s\): foo, bar; expected one of: "):
+        verify_all(ids=["foo", "THM1", "bar"])
+
+
 def test_deep_selects_the_widest_range():
     assert verify_lemma("L3-bijection", deep=True).range_tested.startswith("odd 1 <= n <= 15")
     # an explicit max_n wins over deep
