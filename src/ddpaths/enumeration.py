@@ -5,21 +5,24 @@ formula is consulted anywhere in this module.  That makes these functions
 the oracle against which the closed-form counters and the bijections are
 verified.
 
-Generation is lexicographic under the alphabet order ``U < D < R`` so that
-streams are deterministic and golden-testable.  A cap (default 26, about
-10.4 million words) guards against accidental enumeration blowups; every
-entry point that enumerates takes the cap as an argument.
+Two walks share one move rule.  ``_ddp_words`` streams the words themselves,
+lexicographic under the alphabet order ``U < D < R`` so that streams are
+deterministic and golden-testable.  ``_fold`` visits every path of the same
+tree without building its word and aggregates the step totals and the
+k-ascent histogram on the way; the brute-force totals use it.  A cap
+(default 26, about 10.4 million words) guards against accidental
+enumeration blowups; every entry point that enumerates takes the cap as an
+argument.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .paths import _ONE_ASCENT, PathWord, _k_ascent_pattern
+from .paths import PathWord
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -147,6 +150,41 @@ def _ddp_words(n: int, flat: bool = True) -> Iterator[str]:
     return rec(n, 0)
 
 
+def _fold(n: int, k: int) -> tuple[int, int, int, int, list[int]]:
+    """Aggregate over every DDP of length n, walking the tree of ``_ddp_words``.
+
+    Returns ``(dyck, ups, downs, rights, hist)``: the R-free path count, the
+    U/D/R step totals, and ``hist[t]``, the number of paths with exactly ``t``
+    maximal up-runs of length ``k``.  Each leaf adds to one bucket, so
+    ``sum(hist)`` is the number of paths.
+    """
+    totals = [0, 0, 0, 0]
+    hist = [0] * (n // 2 + 1)
+
+    def rec(
+        remaining: int, height: int, ups: int, downs: int, rights: int, runs: int, run: int
+    ) -> None:
+        if not remaining:
+            totals[0] += not rights  # an R-free DDP is a Dyck path
+            totals[1] += ups
+            totals[2] += downs
+            totals[3] += rights
+            hist[runs + (run == k)] += 1
+            return
+        remaining -= 1
+        if height < remaining:  # room to rise and still return to 0
+            rec(remaining, height + 1, ups + 1, downs, rights, runs, run + 1)
+        if run == k:  # a D or R step closes the up-run
+            runs += 1
+        if height:
+            rec(remaining, height - 1, ups, downs + 1, rights, runs, 0)
+        else:
+            rec(remaining, 0, ups, downs, rights + 1, runs, 0)
+
+    rec(n, 0, 0, 0, 0, 0, 0)
+    return (*totals, hist)
+
+
 def _plain_words(n: int) -> Iterator[str]:
     """All length-n words over U/D ending at height -(n % 2), lexicographic under U < D.
 
@@ -209,27 +247,21 @@ def totals_brute(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> CountRow:
     return _totals_cached(n)
 
 
+# cached: the verify checks reuse rows (at --deep, 201 requests for 23 lengths)
 @lru_cache(maxsize=None)
 def _totals_cached(n: int) -> CountRow:
-    paths = dyck = ups = downs = rights = ones = 0
-    for w in _ddp_words(n):
-        paths += 1
-        ups += w.count("U")
-        downs += w.count("D")
-        r = w.count("R")
-        rights += r
-        dyck += not r  # an R-free DDP is a Dyck path
-        ones += len(_ONE_ASCENT.findall(w))
+    dyck, ups, downs, rights, hist = _fold(n, 1)
+    ones = sum(t * c for t, c in enumerate(hist))
     return CountRow(
-        n=n, ddp=paths, dyck=dyck, ups=ups, downs=downs, rights=rights, one_ascents=ones
+        n=n, ddp=sum(hist), dyck=dyck, ups=ups, downs=downs, rights=rights, one_ascents=ones
     )
 
 
 def one_ascent_distribution(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> DistributionTable:
     """Histogram of the per-path 1-ascent count over all DDPs of length ``n``."""
     _require_enumerable(n, cap)
-    hist = Counter(len(_ONE_ASCENT.findall(w)) for w in _ddp_words(n))
-    return DistributionTable(n=n, row=dict(sorted(hist.items())))
+    hist = _fold(n, 1)[-1]
+    return DistributionTable(n=n, row={t: c for t, c in enumerate(hist) if c})
 
 
 def k_ascent_total(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -237,5 +269,4 @@ def k_ascent_total(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     if k < 1:
         raise ValueError(f"ascent length k must be >= 1, got {k}")
     _require_enumerable(n, cap)
-    pattern = _k_ascent_pattern(k)
-    return sum(len(pattern.findall(w)) for w in _ddp_words(n))
+    return sum(t * c for t, c in enumerate(_fold(n, k)[-1]))

@@ -41,13 +41,8 @@ _RISES = {"U": 1, "D": -1, "R": 0}
 _UP_RUN = re.compile(r"U+")
 
 
-def _k_ascent_pattern(k: int) -> re.Pattern[str]:
-    """A maximal run of exactly ``k`` U steps: not preceded and not followed by another U."""
-    # a literal run, not U{k}: the regex engine matches it faster
-    return re.compile("(?<!U)" + "U" * k + "(?!U)")
-
-
-_ONE_ASCENT = _k_ascent_pattern(1)
+# a maximal up-run of exactly one U; a literal run, not U{1}: the regex engine matches it faster
+_ONE_ASCENT = re.compile("(?<!U)U(?!U)")
 
 
 class Step(Enum):

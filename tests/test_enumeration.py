@@ -124,7 +124,7 @@ class TestTotals:
         assert (row.ddp, row.ups, row.downs, row.rights, row.one_ascents) == (6, 7, 7, 10, 5)
         assert row.dyck == 2
 
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", range(11))
     def test_row_against_filter_oracle(self, n):
         row = totals_brute(n)
         paths = oracle_ddp_words(n)
@@ -134,6 +134,20 @@ class TestTotals:
         assert row.rights == sum(w.count("R") for w in paths)
         assert row.one_ascents == sum(oracle_one_ascents(w) for w in paths)
         assert row.dyck == len(oracle_dyck_words(n))
+
+    # beyond the 3**n oracle's reach; values from scanning every word with the 1-ascent regex
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            (18, (48620, 4862, 330818, 330818, 213524, 142163)),
+            (20, (184756, 16796, 1415650, 1415650, 863820, 592962)),
+            (22, (705432, 58786, 6015316, 6015316, 3488872, 2464226)),
+        ],
+    )
+    def test_golden_rows(self, n, expected):
+        row = totals_brute(n)
+        assert row.n == n
+        assert (row.ddp, row.dyck, row.ups, row.downs, row.rights, row.one_ascents) == expected
 
     @pytest.mark.parametrize("n", range(13))
     def test_invariants(self, n):
@@ -178,7 +192,7 @@ class TestOneAscentDistribution:
         assert sum(table.row.values()) == row.ddp
         assert sum(t * c for t, c in table.row.items()) == row.one_ascents
 
-    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("n", range(11))
     def test_against_filter_oracle(self, n):
         table = one_ascent_distribution(n)
         counts = {}
@@ -187,14 +201,21 @@ class TestOneAscentDistribution:
             counts[t] = counts.get(t, 0) + 1
         assert table.row == counts
 
+    def test_golden_n18(self):
+        # beyond the 3**n oracle's reach; values from scanning every word with the 1-ascent regex
+        assert one_ascent_distribution(18).row == {
+            0: 1590, 1: 6367, 2: 11656, 3: 12834, 4: 9392,
+            5: 4731, 6: 1638, 7: 366, 8: 45, 9: 1,
+        }
+
 
 class TestKAscentTotal:
     @pytest.mark.parametrize("n,k,expected", [(4, 2, 1), (4, 1, 5), (3, 3, 0)])
     def test_examples(self, n, k, expected):
         assert k_ascent_total(n, k) == expected
 
-    @pytest.mark.parametrize("n", range(9))
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(11))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_against_filter_oracle(self, n, k):
         expected = sum(oracle_k_ascents(w, k) for w in oracle_ddp_words(n))
         assert k_ascent_total(n, k) == expected
