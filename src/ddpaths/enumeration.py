@@ -5,14 +5,14 @@ formula is consulted anywhere in this module.  That makes these functions
 the oracle against which the closed-form counters and the bijections are
 verified.
 
-Two walks share one move rule.  ``_ddp_words`` streams the words themselves,
-lexicographic under the alphabet order ``U < D < R`` so that streams are
-deterministic and golden-testable.  ``_fold`` visits every path of the same
-tree without building its word and aggregates the step totals and the
-k-ascent histogram on the way; the brute-force totals use it.  A cap
-(default 26, about 10.4 million words) guards against accidental
-enumeration blowups; every entry point that enumerates takes the cap as an
-argument.
+Two walks share one move rule.  ``_ddp_words`` streams the words,
+lexicographic under ``U < D < R`` so that streams are deterministic and
+golden-testable; it walks an explicit stack, so it streams at any length.
+``_fold`` recurses over the same tree without building words and aggregates
+the step totals and the k-ascent histogram; every brute-force count reads its
+cache, the module's only one.  A cap (default 26, about 10.4 million words)
+guards against accidental enumeration blowups; every entry point that
+enumerates takes the cap as an argument.
 """
 
 from __future__ import annotations
@@ -127,30 +127,27 @@ def _ddp_words(n: int, flat: bool = True) -> Iterator[str]:
     ``flat=False`` forbids R steps, which leaves the Dyck words (none for odd n).
     """
     if not flat and n % 2:
-        return iter(())
-    buf: list[str] = []
-
-    def rec(remaining: int, height: int) -> Iterator[str]:
-        if remaining == 0:
-            yield "".join(buf)
-            return
-        if height <= remaining - 2:  # room to rise and still return to 0
-            buf.append("U")
-            yield from rec(remaining - 1, height + 1)
-            buf.pop()
-        if height > 0:
-            buf.append("D")
-            yield from rec(remaining - 1, height - 1)
-            buf.pop()
+        return
+    stack = [("", 0)]  # (prefix, height); the U child is pushed last so it pops first
+    while stack:
+        word, height = stack.pop()
+        remaining = n - len(word)
+        if not remaining:
+            yield word
+            continue
+        if height:
+            stack.append((word + "D", height - 1))
         elif flat:
-            buf.append("R")
-            yield from rec(remaining - 1, 0)
-            buf.pop()
-
-    return rec(n, 0)
+            stack.append((word + "R", 0))
+        if height <= remaining - 2:  # room to rise and still return to 0
+            stack.append((word + "U", height + 1))
 
 
-def _fold(n: int, k: int) -> tuple[int, int, int, int, list[int]]:
+# cached on (n, k): the verify checks ask for the same lengths again (at --deep,
+# 201 totals requests for 23 lengths), and the totals, the 1-ascent histogram and
+# k_ascent_total(n, 1) share the k = 1 walk
+@lru_cache(maxsize=None)
+def _fold(n: int, k: int) -> tuple[int, int, int, int, tuple[int, ...]]:
     """Aggregate over every DDP of length n, walking the tree of ``_ddp_words``.
 
     Returns ``(dyck, ups, downs, rights, hist)``: the R-free path count, the
@@ -182,7 +179,7 @@ def _fold(n: int, k: int) -> tuple[int, int, int, int, list[int]]:
             rec(remaining, 0, ups, downs, rights + 1, runs, 0)
 
     rec(n, 0, 0, 0, 0, 0, 0)
-    return (*totals, hist)
+    return (*totals, tuple(hist))
 
 
 def _plain_words(n: int) -> Iterator[str]:
@@ -244,12 +241,6 @@ def count_ddp_dp(n: int) -> int:
 def totals_brute(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> CountRow:
     """Aggregate exact totals over the full enumeration of length ``n``."""
     _require_enumerable(n, cap)
-    return _totals_cached(n)
-
-
-# cached: the verify checks reuse rows (at --deep, 201 requests for 23 lengths)
-@lru_cache(maxsize=None)
-def _totals_cached(n: int) -> CountRow:
     dyck, ups, downs, rights, hist = _fold(n, 1)
     ones = sum(t * c for t, c in enumerate(hist))
     return CountRow(

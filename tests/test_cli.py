@@ -420,15 +420,18 @@ class TestOutputBoundary:
         assert len(digits) == 6019
         assert digits == str(math.comb(20000, 10000))
 
-    def test_closed_pipe_ends_quietly(self):
+    # 1500 steps lie far beyond the interpreter's recursion limit: the stream must not recurse
+    @pytest.mark.parametrize("argv", [["22"], ["1500", "--cap", "1500"]], ids=["22", "1500"])
+    def test_closed_pipe_ends_quietly(self, argv):
         proc = subprocess.Popen(
-            [sys.executable, "-m", "ddpaths", "enumerate", "22"],
+            [sys.executable, "-m", "ddpaths", "enumerate", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=CHILD_ENV,
             text=True,
         )
-        assert proc.stdout.readline() == "UUUUUUUUUUUDDDDDDDDDDD\n"
+        half = int(argv[0]) // 2
+        assert proc.stdout.readline() == "U" * half + "D" * half + "\n"
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()

@@ -1,5 +1,6 @@
 """Generators, DP counting and brute-force totals against independent oracles."""
 
+import hashlib
 import math
 
 import pytest
@@ -15,7 +16,7 @@ from ddpaths import (
     one_ascent_distribution,
     totals_brute,
 )
-from ddpaths.enumeration import CSV_HEADER, CountTable
+from ddpaths.enumeration import CSV_HEADER, CountTable, _ddp_words, _fold
 
 from conftest import (
     lex_key,
@@ -53,11 +54,31 @@ class TestGenerators:
         assert set(words(enumerate_plain(2))) == {"UD", "DU"}
         assert words(enumerate_plain(3)) == ["UDD", "DUD", "DDU"]
 
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", range(12))
     def test_ddp_matches_filter_oracle(self, n):
         generated = words(enumerate_ddp(n))
         assert generated == sorted(oracle_ddp_words(n), key=lex_key)
         assert len(set(generated)) == len(generated)
+
+    # beyond the 3**n oracle's reach; the digests pin the U < D < R order of whole streams
+    @pytest.mark.parametrize(
+        "n,flat,digest",
+        [
+            (18, True, "1edd93533ca54756da8b3bd89973ebce832d63599c85f1efb903a73509757996"),
+            (20, True, "cb2c28b4f4f4fb084b8bdd46928e8d0be6f65888bb5612398ddd020bea908448"),
+            (20, False, "e375ff798ec1eb085746b3d42eb860de1086a52e74a442d84d93b3b0abb87dc4"),
+            (22, False, "5f502d16baafcd56dde1f6e2f4d09a7156b12b538d1bf7dc816929d14c05ddeb"),
+        ],
+        ids=["18-ddp", "20-ddp", "20-dyck", "22-dyck"],
+    )
+    def test_golden_stream_digests(self, n, flat, digest):
+        stream = "\n".join(_ddp_words(n, flat)).encode()
+        assert hashlib.sha256(stream).hexdigest() == digest
+
+    def test_long_streams_start_lazily(self):
+        # far beyond the interpreter's recursion limit; only the first word is built
+        assert next(enumerate_ddp(1501, cap=1501)).word == "U" * 750 + "D" * 750 + "R"
+        assert next(enumerate_dyck(1500, cap=1500)).word == "U" * 750 + "D" * 750
 
     @pytest.mark.parametrize("n", range(15))
     def test_dyck_matches_filter_oracle(self, n):
@@ -169,6 +190,13 @@ class TestTotals:
             {"n": 4, "dD": 6, "dyck": 2, "U": 7, "D": 7, "R": 10, "A": 5},
         ]
 
+    def test_one_cached_walk_per_length(self):
+        totals_brute(16)
+        misses = _fold.cache_info().misses
+        one_ascent_distribution(16)
+        k_ascent_total(16, 1)
+        assert _fold.cache_info().misses == misses
+
     def test_row_is_frozen(self):
         row = totals_brute(2)
         with pytest.raises(AttributeError):
@@ -200,6 +228,11 @@ class TestOneAscentDistribution:
             t = oracle_one_ascents(w)
             counts[t] = counts.get(t, 0) + 1
         assert table.row == counts
+
+    def test_returned_row_is_a_copy(self):
+        expected = dict(one_ascent_distribution(6).row)
+        one_ascent_distribution(6).row[0] = -1
+        assert one_ascent_distribution(6).row == expected
 
     def test_golden_n18(self):
         # beyond the 3**n oracle's reach; values from scanning every word with the 1-ascent regex
