@@ -22,8 +22,11 @@ totals right steps of even length by summing, over all admissible
 position pairs, the product of the free-segment counts.
 
 Every map takes a :class:`PathWord` or a raw word, as the functions of
-``paths`` do.  Every function validates its domain eagerly and only ever
-emits valid paths, so downstream checks can assume class validity.
+``paths`` do.  The public maps validate their domain eagerly and only ever
+emit valid paths, so downstream checks can assume class validity.  The
+1-ascent pairing is done by two private kernels on raw words,
+``_cut_ascent`` and ``_paste_ascent``, which trust their input: the public
+maps guard them, and the verify harness feeds them enumerated words only.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .formulas import central_binomial, dyck_count
 from .paths import _ONE_ASCENT, PathWord, _word_of, is_dispersed_dyck, is_plain_path
@@ -58,6 +62,10 @@ class SlotKind(Enum):
     DOWN_STEP = "DownStep"
     RIGHT_STEP = "RightStep"
 
+    # members are singletons, so identity hashing agrees with equality and skips the
+    # Python-level Enum.__hash__ that every SlotRef hash would otherwise call
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class SlotRef:
@@ -67,10 +75,14 @@ class SlotRef:
     index: int | None = None
 
     def __post_init__(self) -> None:
+        # a bool is an int, but SlotRef(kind, True) must not pass for SlotRef(kind, 1)
+        index = self.index
+        if index is not None and (isinstance(index, bool) or not isinstance(index, int)):
+            raise ValueError(f"a slot index must be an int, got {index!r}")
         if self.kind is SlotKind.START:
-            if self.index is not None:
+            if index is not None:
                 raise ValueError("a Start slot carries no step index")
-        elif self.index is None or self.index < 0:
+        elif index is None or index < 0:
             raise ValueError(f"a {self.kind.value} slot needs a step index >= 0")
 
     def to_json_dict(self) -> dict:
@@ -199,6 +211,31 @@ def updown_inverse(path: PathWord | str) -> PathWord:
     return PathWord(word[:last_right] + "U" + word[last_right + 1 :] + "D")
 
 
+_KIND_AFTER = {"D": SlotKind.DOWN_STEP, "R": SlotKind.RIGHT_STEP}
+
+
+@lru_cache(maxsize=None)
+def _slot_after(step: str, index: int) -> SlotRef:
+    """The slot after the ``step`` ("D" or "R") at ``index``, built once per key."""
+    return SlotRef(_KIND_AFTER[step], index)
+
+
+def _cut_ascent(word: str, pos: int) -> tuple[str, SlotRef]:
+    """Kernel of :func:`ascent_remove`; trusts ``word`` to be a DDP with a 1-ascent at ``pos``."""
+    # word[pos + 1] is "D": a DDP never ends right after a U, and an R sits only on the axis
+    shortened = word[:pos] + word[pos + 2 :]
+    if pos == 0:
+        return shortened, START
+    # the step before a 1-ascent is a D or an R
+    return shortened, _slot_after(word[pos - 1], pos - 1)
+
+
+def _paste_ascent(word: str, slot: SlotRef) -> str:
+    """Kernel of :func:`ascent_insert`; trusts that ``slot`` names a step of ``word``."""
+    at = 0 if slot.index is None else slot.index + 1
+    return word[:at] + "UD" + word[at:]
+
+
 def ascent_remove(path: PathWord | str, pos: int) -> tuple[PathWord, SlotRef]:
     """Delete the 1-ascent at ``pos`` and its following down step.
 
@@ -210,12 +247,8 @@ def ascent_remove(path: PathWord | str, pos: int) -> tuple[PathWord, SlotRef]:
     # re clamps a negative pos to 0, so the guard keeps pos -1 from matching at 0
     if not (0 <= pos and _ONE_ASCENT.match(word, pos)):
         raise ValueError(f"position {pos} is not the up step of a 1-ascent in {word!r}")
-    # word[pos + 1] is "D": a DDP never ends right after a U, and an R sits only on the axis
-    shortened = PathWord(word[:pos] + word[pos + 2 :])
-    if pos == 0:
-        return shortened, START
-    kind = SlotKind.DOWN_STEP if word[pos - 1] == "D" else SlotKind.RIGHT_STEP
-    return shortened, SlotRef(kind, pos - 1)
+    shortened, slot = _cut_ascent(word, pos)
+    return PathWord(shortened), slot
 
 
 def ascent_insert(path: PathWord | str, slot: SlotRef) -> PathWord:
@@ -225,9 +258,7 @@ def ascent_insert(path: PathWord | str, slot: SlotRef) -> PathWord:
     front of it is the path start, a down step, or a right step.
     """
     word = _require_ddp(path)
-    if slot.kind is SlotKind.START:
-        at = 0
-    else:
+    if slot.kind is not SlotKind.START:
         expected = "D" if slot.kind is SlotKind.DOWN_STEP else "R"
         idx = slot.index
         if idx is None or not 0 <= idx < len(word) or word[idx] != expected:
@@ -235,8 +266,7 @@ def ascent_insert(path: PathWord | str, slot: SlotRef) -> PathWord:
                 f"slot {slot.kind.value}@{idx} does not reference a "
                 f"{expected!r} step of {word!r}"
             )
-        at = idx + 1
-    return PathWord(word[:at] + "UD" + word[at:])
+    return PathWord(_paste_ascent(word, slot))
 
 
 def r_pair_decomposition(n: int) -> int:

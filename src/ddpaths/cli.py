@@ -167,8 +167,12 @@ def _parse_slot(text: str) -> SlotRef:
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
-    path = parse_path(args.path)
     name = args.name
+    if args.pos is not None and name != "ascent-remove":
+        raise ValueError("--pos only applies to ascent-remove")
+    if args.slot is not None and name != "ascent-insert":
+        raise ValueError("--slot only applies to ascent-insert")
+    path = parse_path(args.path)
     if name == "ascent-remove":
         if args.pos is None:
             raise ValueError("--pos is required for ascent-remove")

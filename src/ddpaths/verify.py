@@ -22,13 +22,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .bijections import (
     SlotKind,
     SlotRef,
-    ascent_insert,
-    ascent_remove,
+    _cut_ascent,
+    _paste_ascent,
     ddp_to_plain,
     plain_to_ddp,
     r_pair_decomposition,
@@ -52,7 +53,7 @@ from .formulas import (
     r_convolution,
     u_closed,
 )
-from .paths import PathWord, one_ascent_positions
+from .paths import _ONE_ASCENT, PathWord
 
 __all__ = ["CheckResult", "VerificationReport", "CHECK_IDS", "verify_lemma", "verify_all"]
 
@@ -121,13 +122,20 @@ def _onto_mismatch(n: int, images: set[str], target: set[str]) -> dict | None:
     return {"n": n, "missing": sorted(target - images)[:3], "extra": sorted(images - target)[:3]}
 
 
+# built here from the constructor, not taken from the kernels, so that the onto
+# comparison in L5-bijection stays independent of them; one object per (kind, index)
+@lru_cache(maxsize=None)
+def _slot(kind: SlotKind, index: int | None = None) -> SlotRef:
+    return SlotRef(kind, index)
+
+
 def _slots_of(word: str) -> list[SlotRef]:
-    slots = [SlotRef(SlotKind.START)]
+    slots = [_slot(SlotKind.START)]
     for i, ch in enumerate(word):
         if ch == "D":
-            slots.append(SlotRef(SlotKind.DOWN_STEP, i))
+            slots.append(_slot(SlotKind.DOWN_STEP, i))
         elif ch == "R":
-            slots.append(SlotRef(SlotKind.RIGHT_STEP, i))
+            slots.append(_slot(SlotKind.RIGHT_STEP, i))
     return slots
 
 
@@ -256,20 +264,21 @@ def _check_l4_closed(max_n: int) -> dict | None:
 
 
 def _check_l5_bijection(max_n: int) -> dict | None:
+    # The kernels skip the public maps' DDP scan: every input word is enumerated, and
+    # the onto comparison proves each image a length-(m-2) DDP with a real slot.
     for m in range(2, max_n + 1):
         seen: set[tuple[str, SlotRef]] = set()
         for w in _ddp_words(m):
-            path = PathWord(w)
-            for pos in one_ascent_positions(w):
-                shortened, slot = ascent_remove(path, pos)
-                key = (shortened.word, slot)
+            for match in _ONE_ASCENT.finditer(w):
+                pos = match.start()
+                key = _cut_ascent(w, pos)
                 if key in seen:
                     detail = "duplicate (path, slot) image"
                     return {"n": m, "path": w, "pos": pos, "detail": detail}
                 seen.add(key)
-                back = ascent_insert(shortened, slot)
-                if back.word != w:
-                    return {"n": m, "path": w, "pos": pos, "roundtrip": back.word}
+                back = _paste_ascent(*key)
+                if back != w:
+                    return {"n": m, "path": w, "pos": pos, "roundtrip": back}
         expected = {(w, s) for w in _ddp_words(m - 2) for s in _slots_of(w)}
         if seen != expected:
             return {"n": m, "images": len(seen), "slots": len(expected)}

@@ -21,7 +21,7 @@ from ddpaths import (
     updown_forward,
     updown_inverse,
 )
-from ddpaths.bijections import BijectionRecord
+from ddpaths.bijections import START, BijectionRecord, _cut_ascent, _paste_ascent
 from ddpaths.enumeration import _ddp_words, _plain_words
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -244,6 +244,52 @@ class TestAscentPairing:
     def test_count_consequence(self, m):
         row = totals_brute(m - 2)
         assert totals_brute(m).one_ascents == row.ddp + row.downs + row.rights
+
+
+def _fresh_slots(word):
+    yield SlotRef(SlotKind.START)
+    for i, ch in enumerate(word):
+        if ch == "D":
+            yield SlotRef(SlotKind.DOWN_STEP, i)
+        elif ch == "R":
+            yield SlotRef(SlotKind.RIGHT_STEP, i)
+
+
+class TestAscentKernels:
+    """The raw-word kernels behind ascent_remove / ascent_insert and their interned slots."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_public_maps_wrap_the_kernels(self, n):
+        for w in _ddp_words(n):
+            for pos in one_ascent_positions(w):
+                shortened, slot = _cut_ascent(w, pos)
+                assert ascent_remove(w, pos) == (PathWord(shortened), slot)
+                fresh = SlotRef(slot.kind, slot.index)  # the interned slot, START included
+                assert slot == fresh
+                assert hash(slot) == hash(fresh)
+            for slot in _fresh_slots(w):
+                assert ascent_insert(w, slot) == PathWord(_paste_ascent(w, slot))
+
+    def test_one_slot_object_per_kind_and_index(self):
+        assert _cut_ascent("UD", 0)[1] is START
+        assert _cut_ascent("RUD", 1)[1] is _cut_ascent("RUDUD", 1)[1]
+        assert _cut_ascent("UDUD", 2)[1] is _cut_ascent("UDUDR", 2)[1]
+        assert _cut_ascent("RUD", 1)[1] != _cut_ascent("UDUD", 2)[1]
+
+    # True == 1, so a bool index would pass for step 1 (ascent_insert("UD", it) -> UDUD)
+    @pytest.mark.parametrize(
+        "kind,index",
+        [
+            (SlotKind.DOWN_STEP, True),
+            (SlotKind.RIGHT_STEP, False),
+            (SlotKind.START, False),
+            (SlotKind.DOWN_STEP, 1.0),
+            (SlotKind.DOWN_STEP, "1"),
+        ],
+    )
+    def test_slotref_rejects_non_int_index(self, kind, index):
+        with pytest.raises(ValueError, match=f"a slot index must be an int, got {index!r}"):
+            SlotRef(kind, index)
 
 
 class TestPairDecomposition:

@@ -243,6 +243,10 @@ class TestTotals:
         ]
 
 
+_POS_ONLY = "--pos only applies to ascent-remove"
+_SLOT_ONLY = "--slot only applies to ascent-insert"
+
+
 class TestBijection:
     def test_reflection(self, capsys):
         code, out, _ = run_cli(capsys, "bijection", "reflection", "DDU")
@@ -284,6 +288,22 @@ class TestBijection:
         code, _, err = run_cli(capsys, "bijection", "ascent-remove", "RUD")
         assert code == 2
         assert "--pos" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("ascent-insert", "UD", "--slot", "start", "--pos", "3"), _POS_ONLY),
+            (("reflection", "UD", "--pos", "0"), _POS_ONLY),
+            (("updown-inv", "RR", "--pos", "0"), _POS_ONLY),
+            (("ascent-remove", "UD", "--pos", "0", "--slot", "start"), _SLOT_ONLY),
+            (("reflection-inv", "UD", "--slot", "start"), _SLOT_ONLY),
+        ],
+    )
+    def test_option_of_another_map(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "bijection", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
 
     def test_bad_slot_spec(self, capsys):
         for spec, message in [

@@ -29,6 +29,7 @@ from ddpaths import (
     verify_all,
     verify_lemma,
 )
+from ddpaths.bijections import START, _cut_ascent, _paste_ascent
 
 
 ALL_IDS = (
@@ -143,6 +144,19 @@ def test_concurrent_runs_agree():
     with ThreadPoolExecutor(max_workers=4) as pool:
         reports = list(pool.map(lambda _: verify_all(max_n=7).to_json(), range(4)))
     assert all(r == serial for r in reports)
+
+
+def test_l5_bijection_visits_every_one_ascent(monkeypatch):
+    # one remove-kernel call per (path, 1-ascent) pair of every length in range
+    calls = []
+
+    def counting(word, pos):
+        calls.append(word)
+        return _cut_ascent(word, pos)
+
+    monkeypatch.setattr(ddpaths.verify, "_cut_ascent", counting)
+    assert verify_lemma("L5-bijection", 10).passed
+    assert len(calls) == sum(totals_brute(m).one_ascents for m in range(2, 11))
 
 
 class TestFaultInjection:
@@ -309,13 +323,39 @@ class TestFaultInjection:
 
     def test_l5_bijection(self, monkeypatch):
         monkeypatch.setattr(
-            ddpaths.verify, "ascent_insert", lambda path, slot: PathWord("R" * (len(path) + 2))
+            ddpaths.verify, "_paste_ascent", lambda word, slot: "R" * (len(word) + 2)
         )
         pos = one_ascent_positions("UD")[0]
         assert verify_lemma("L5-bijection", 10) == _failed(
             "L5-bijection",
-            "2 <= n <= 10 (longer path length)",
+            L5_BIJECTION_RANGE.format(10),
             {"n": 2, "path": "UD", "pos": pos, "roundtrip": "RR"},
+        )
+
+    def test_l5_bijection_duplicate_image(self, monkeypatch):
+        # RUD@1 takes the image of UDR@0, which comes first in the stream
+        def cut(word, pos):
+            return _cut_ascent("UDR", 0) if word == "RUD" else _cut_ascent(word, pos)
+
+        monkeypatch.setattr(ddpaths.verify, "_cut_ascent", cut)
+        assert verify_lemma("L5-bijection", 10) == _failed(
+            "L5-bijection",
+            L5_BIJECTION_RANGE.format(10),
+            {"n": 3, "path": "RUD", "pos": 1, "detail": "duplicate (path, slot) image"},
+        )
+
+    def test_l5_bijection_onto(self, monkeypatch):
+        # UD@0 <-> (Z, Start) round-trips, but Z is no DDP and ("", Start) has no preimage
+        def cut(word, pos):
+            return ("Z", START) if word == "UD" else _cut_ascent(word, pos)
+
+        def paste(word, slot):
+            return "UD" if word == "Z" else _paste_ascent(word, slot)
+
+        monkeypatch.setattr(ddpaths.verify, "_cut_ascent", cut)
+        monkeypatch.setattr(ddpaths.verify, "_paste_ascent", paste)
+        assert verify_lemma("L5-bijection", 10) == _failed(
+            "L5-bijection", L5_BIJECTION_RANGE.format(10), {"n": 2, "images": 1, "slots": 1}
         )
 
     def test_l5_count_brute(self, monkeypatch):
@@ -392,6 +432,7 @@ class TestFaultInjection:
 
 L3_BIJECTION_RANGE = "odd 1 <= n <= {} (bijection); 1 <= k <= 200 (Catalan argument)"
 L4_RANGE = "1 <= n <= {} (recursions); base cases n = 1, 2 brute"
+L5_BIJECTION_RANGE = "2 <= n <= {} (longer path length)"
 L5_COUNT_RANGE = "2 <= n <= {} (brute); 0 <= n <= 400 (closed forms)"
 EQSTAR_RANGE = "0 <= n <= {} (brute); 0 <= n <= 400 (closed forms)"
 
