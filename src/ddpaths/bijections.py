@@ -37,7 +37,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .formulas import central_binomial, dyck_count
-from .paths import _ONE_ASCENT, PathWord, _word_of, is_dispersed_dyck, is_plain_path
+from .paths import _ONE_ASCENT, PathWord, _path_of, is_dispersed_dyck, is_plain_path
 
 __all__ = [
     "SlotKind",
@@ -67,6 +67,11 @@ class SlotKind(Enum):
     __hash__ = object.__hash__
 
 
+def _is_index(value: object) -> bool:
+    # a bool is an int, but True must not pass for step 1 nor False for step 0
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class SlotRef:
     """An insertion point in a path; ``index`` is the 0-based step position, None for Start."""
@@ -75,9 +80,8 @@ class SlotRef:
     index: int | None = None
 
     def __post_init__(self) -> None:
-        # a bool is an int, but SlotRef(kind, True) must not pass for SlotRef(kind, 1)
         index = self.index
-        if index is not None and (isinstance(index, bool) or not isinstance(index, int)):
+        if index is not None and not _is_index(index):
             raise ValueError(f"a slot index must be an int, got {index!r}")
         if self.kind is SlotKind.START:
             if index is not None:
@@ -111,10 +115,10 @@ class BijectionRecord:
 
 
 def _require_ddp(path: PathWord | str) -> str:
-    # test first, then unwrap: a PathWord is not scanned for its alphabet again
+    path = _path_of(path)
     if not is_dispersed_dyck(path):
-        raise ValueError(f"{_word_of(path)!r} is not a dispersed Dyck path")
-    return _word_of(path)
+        raise ValueError(f"{path.word!r} is not a dispersed Dyck path")
+    return path.word
 
 
 def plain_to_ddp(path: PathWord | str) -> PathWord:
@@ -127,11 +131,12 @@ def plain_to_ddp(path: PathWord | str) -> PathWord:
     pair of right steps bracketing its flipped interior, and an excursion
     that never returns contributes a single right step.
     """
+    path = _path_of(path)
     if not is_plain_path(path):
-        raise ValueError(f"{_word_of(path)!r} is not a plain path")
+        raise ValueError(f"{path.word!r} is not a plain path")
     out = []
     height = 0
-    for step in _word_of(path):
+    for step in path.word:
         # low is the lower of the step's two endpoint heights
         if step == "U":
             low = height
@@ -245,7 +250,7 @@ def ascent_remove(path: PathWord | str, pos: int) -> tuple[PathWord, SlotRef]:
     """
     word = _require_ddp(path)
     # re clamps a negative pos to 0, so the guard keeps pos -1 from matching at 0
-    if not (0 <= pos and _ONE_ASCENT.match(word, pos)):
+    if not (_is_index(pos) and 0 <= pos and _ONE_ASCENT.match(word, pos)):
         raise ValueError(f"position {pos} is not the up step of a 1-ascent in {word!r}")
     shortened, slot = _cut_ascent(word, pos)
     return PathWord(shortened), slot

@@ -317,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "range override for every check; oracle-backed checks refuse N above "
-            f"the enumeration cap ({DEFAULT_ENUMERATION_CAP}) and ASYM ignores N"
+            f"the enumeration cap ({DEFAULT_ENUMERATION_CAP}), L4-closed and CONV "
+            "refuse N above their own limits, and ASYM ignores N"
         ),
     )
     p.add_argument("--deep", action="store_true", help="run each check at its widest range")

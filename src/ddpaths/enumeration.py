@@ -228,8 +228,8 @@ def count_ddp_dp(n: int) -> int:
         for h, c in enumerate(ways):
             if not c:
                 continue
-            if h + 1 <= n:
-                nxt[h + 1] += c  # up
+            # after s < n steps a reached height is at most s, so h + 1 <= n fits the table
+            nxt[h + 1] += c  # up
             if h:
                 nxt[h - 1] += c  # down
             else:

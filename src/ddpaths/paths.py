@@ -1,4 +1,4 @@
-"""Steps, path words and per-path statistics.
+"""Path words, their classification and per-path statistics.
 
 A word over the alphabet ``U``/``D``/``R`` describes a lattice path: ``U``
 raises the height by one, ``D`` lowers it by one, ``R`` keeps it level.
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 __all__ = [
-    "Step",
     "PathClass",
     "PathWord",
     "PathStats",
@@ -37,24 +36,11 @@ __all__ = [
 ]
 
 _ALPHABET = frozenset("UDR")
-_RISES = {"U": 1, "D": -1, "R": 0}
 _UP_RUN = re.compile(r"U+")
 
 
 # a maximal up-run of exactly one U; a literal run, not U{1}: the regex engine matches it faster
 _ONE_ASCENT = re.compile("(?<!U)U(?!U)")
-
-
-class Step(Enum):
-    """One lattice step; ``rise`` is the height change it causes."""
-
-    UP = "U"
-    DOWN = "D"
-    RIGHT = "R"
-
-    @property
-    def rise(self) -> int:
-        return _RISES[self.value]
 
 
 class PathClass(Enum):
@@ -91,26 +77,6 @@ class PathWord:
     def __str__(self) -> str:
         return self.word
 
-    def __iter__(self):
-        return (Step(ch) for ch in self.word)
-
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        return tuple(Step(ch) for ch in self.word)
-
-    def heights(self) -> list[int]:
-        """Prefix heights; length ``n + 1``, starting at 0."""
-        out = [0]
-        h = 0
-        for ch in self.word:
-            h += _RISES[ch]
-            out.append(h)
-        return out
-
-    @property
-    def final_height(self) -> int:
-        return self.word.count("U") - self.word.count("D")
-
 
 @dataclass(frozen=True)
 class PathStats:
@@ -143,11 +109,9 @@ class PathStats:
         return json.dumps(payload)
 
 
-def _word_of(path: PathWord | str) -> str:
-    """Accept either a PathWord or a raw string, validating the latter."""
-    if isinstance(path, PathWord):
-        return path.word
-    return PathWord(path).word
+def _path_of(path: PathWord | str) -> PathWord:
+    """The argument if it is a PathWord, else the validated PathWord of the raw word."""
+    return path if isinstance(path, PathWord) else PathWord(path)
 
 
 def parse_path(text: str) -> PathWord:
@@ -162,7 +126,7 @@ def parse_path(text: str) -> PathWord:
 def is_dispersed_dyck(path: PathWord | str) -> bool:
     """True iff no prefix dips below 0, the path ends at 0, and every ``R`` sits at height 0."""
     h = 0
-    for ch in _word_of(path):
+    for ch in _path_of(path).word:
         if ch == "U":
             h += 1
         elif ch == "D":
@@ -176,13 +140,13 @@ def is_dispersed_dyck(path: PathWord | str) -> bool:
 
 def is_dyck(path: PathWord | str) -> bool:
     """True iff the path is a dispersed Dyck path with no ``R`` step at all."""
-    word = _word_of(path)
-    return "R" not in word and is_dispersed_dyck(word)
+    path = _path_of(path)
+    return "R" not in path.word and is_dispersed_dyck(path)
 
 
 def is_plain_path(path: PathWord | str) -> bool:
     """True iff the word is ``R``-free and ends at height ``-(n % 2)`` (sign unconstrained)."""
-    word = _word_of(path)
+    word = _path_of(path).word
     if "R" in word:
         return False
     return word.count("U") - word.count("D") == -(len(word) % 2)
@@ -195,17 +159,17 @@ def classify(path: PathWord | str) -> PathClass:
     length, never below 0, no ``R``) reports ``Dyck``; use
     :func:`is_plain_path` to query the plain predicate on its own.
     """
-    word = _word_of(path)
-    if is_dispersed_dyck(word):
-        return PathClass.DYCK if "R" not in word else PathClass.DISPERSED_DYCK
-    if is_plain_path(word):
+    path = _path_of(path)
+    if is_dispersed_dyck(path):
+        return PathClass.DYCK if "R" not in path.word else PathClass.DISPERSED_DYCK
+    if is_plain_path(path):
         return PathClass.PLAIN_PATH
     return PathClass.INVALID
 
 
 def stats(path: PathWord | str) -> PathStats:
     """Step counts and maximal-up-run decomposition; works on any word."""
-    word = _word_of(path)
+    word = _path_of(path).word
     runs = tuple(m.end() - m.start() for m in _UP_RUN.finditer(word))
     return PathStats(
         n=len(word),
@@ -219,4 +183,4 @@ def stats(path: PathWord | str) -> PathStats:
 
 def one_ascent_positions(path: PathWord | str) -> list[int]:
     """Indices of every up step that forms a maximal run of length one."""
-    return [m.start() for m in _ONE_ASCENT.finditer(_word_of(path))]
+    return [m.start() for m in _ONE_ASCENT.finditer(_path_of(path).word)]

@@ -4,9 +4,16 @@ Everything here recomputes validity and statistics by filtering all
 3**n (or 2**n) raw words with direct index scans, deliberately avoiding
 the library's pruned generators and regex shortcuts so the two routes
 stay independent.  Keep n small when calling these.
+
+The ``scans`` fixture records which words the PathWord alphabet check
+runs on, so tests can count how often an argument is validated.
 """
 
 from itertools import product
+
+import pytest
+
+from ddpaths import PathWord
 
 
 def oracle_is_ddp(word: str) -> bool:
@@ -64,3 +71,17 @@ def oracle_one_ascents(word: str) -> int:
 
 def lex_key(word: str) -> list[int]:
     return ["UDR".index(ch) for ch in word]
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The words whose PathWord alphabet check runs, in order, while the test runs."""
+    scanned = []
+    validate = PathWord.__post_init__
+
+    def recording(self):
+        scanned.append(self.word)
+        validate(self)
+
+    monkeypatch.setattr(PathWord, "__post_init__", recording)
+    return scanned

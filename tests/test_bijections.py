@@ -58,18 +58,12 @@ class TestRawWords:
         with pytest.raises(ValueError, match=f"^'{outside}' {message}$"):
             fn(outside, *args)
 
-    def test_pathword_is_not_scanned_again(self, fn, word, args, outside, message, monkeypatch):
+    def test_pathword_is_not_scanned_again(self, fn, word, args, outside, message, scans):
         path = parse_path(word)
-        scanned = []
-        validate = PathWord.__post_init__
-
-        def recording(self):
-            scanned.append(self.word)
-            validate(self)
-
-        monkeypatch.setattr(PathWord, "__post_init__", recording)
         fn(path, *args)
-        assert word not in scanned
+        assert scans.count(word) == 1  # by parse_path alone
+        fn(word, *args)
+        assert scans.count(word) == 2  # a raw word is scanned once
 
 
 class TestReflection:
@@ -204,6 +198,12 @@ class TestAscentPairing:
             ascent_remove(parse_path("UD"), 2)  # past the end
         with pytest.raises(ValueError, match="not a dispersed Dyck path"):
             ascent_remove(parse_path("UDU"), 2)
+
+    # True == 1 and False == 0, so a bool would pass for a position as it would for a slot index
+    @pytest.mark.parametrize("word,pos", [("RUD", True), ("UD", False)])
+    def test_remove_rejects_a_bool_position(self, word, pos):
+        with pytest.raises(ValueError, match=f"^position {pos} is not the up step of a 1-ascent"):
+            ascent_remove(word, pos)
 
     def test_insert_rejects_bad_slots(self):
         with pytest.raises(ValueError, match="does not reference"):

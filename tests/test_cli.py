@@ -341,17 +341,23 @@ class TestVerify:
         assert "unknown check id" in err
 
     def test_request_is_refused_before_any_check_runs(self, capsys, monkeypatch):
-        # L4-closed accepts N = 3000 and would run for seconds; THM1 refuses it
+        # L4-closed accepts N = 2000 and would run for a second; THM1 refuses it
         calls = []
         spec = ddpaths.verify._CHECKS["L4-closed"]
         monkeypatch.setitem(
             ddpaths.verify._CHECKS, "L4-closed", replace(spec, run=lambda n: calls.append(n))
         )
-        code, out, err = run_cli(capsys, "verify", "L4-closed", "THM1", "--max-n", "3000")
+        code, out, err = run_cli(capsys, "verify", "L4-closed", "THM1", "--max-n", "2000")
         assert code == 2
         assert out == ""
-        assert "THM1 is oracle-backed; max_n 3000 exceeds the enumeration cap" in err
+        assert "THM1 is oracle-backed; max_n 2000 exceeds the enumeration cap" in err
         assert calls == []
+
+    def test_arithmetic_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "L4-closed", "--max-n", "100000")
+        assert code == 2
+        assert out == ""
+        assert "L4-closed is arithmetic; max_n 100000 exceeds the limit of 2000" in err
 
     def test_all_mixed_with_ids_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "all", "THM1")

@@ -19,6 +19,62 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = (paths, enumeration, bijections, formulas, verify)
 MAX_COLUMNS = 99
 
+# the public surface, sorted; adding or removing a public name is a change to this list
+PUBLIC_NAMES = [
+    "AsymptoticEstimate",
+    "BijectionRecord",
+    "CHECK_IDS",
+    "CheckResult",
+    "CountRow",
+    "CountTable",
+    "DEFAULT_ENUMERATION_CAP",
+    "DistributionTable",
+    "PathClass",
+    "PathStats",
+    "PathWord",
+    "SlotKind",
+    "SlotRef",
+    "VerificationReport",
+    "a_asymptotic",
+    "a_closed",
+    "ascent_insert",
+    "ascent_remove",
+    "asymptotic_ratio",
+    "catalan",
+    "central_binomial",
+    "classify",
+    "count_ddp_dp",
+    "ddp_to_plain",
+    "dyck_count",
+    "enumerate_ddp",
+    "enumerate_dyck",
+    "enumerate_plain",
+    "is_dispersed_dyck",
+    "is_dyck",
+    "is_plain_path",
+    "k_ascent_total",
+    "one_ascent_distribution",
+    "one_ascent_positions",
+    "parse_path",
+    "plain_to_ddp",
+    "r_closed",
+    "r_convolution",
+    "r_pair_decomposition",
+    "stats",
+    "totals_brute",
+    "totals_closed",
+    "u_closed",
+    "updown_forward",
+    "updown_inverse",
+    "verify_all",
+    "verify_lemma",
+]
+
+
+def test_public_surface_inventory():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert sorted(ddpaths.__all__) == PUBLIC_NAMES
+
 
 def test_public_names_are_unique():
     assert len(ddpaths.__all__) == len(set(ddpaths.__all__))

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from ddpaths import (
     PathClass,
-    PathWord,
-    Step,
     classify,
     is_dispersed_dyck,
     is_dyck,
@@ -32,7 +30,7 @@ class TestParse:
 
     def test_direct_transliteration(self):
         p = parse_path("UDR")
-        assert p.steps == (Step.UP, Step.DOWN, Step.RIGHT)
+        assert p.word == "UDR"
         assert len(p) == 3
 
     def test_invalid_character_names_position(self):
@@ -53,20 +51,18 @@ class TestParse:
             parse_path(word)
 
 
-class TestHeights:
-    def test_heights_prefixes(self):
-        assert parse_path("UDR").heights() == [0, 1, 0, 0]
-        assert parse_path("DU").heights() == [0, -1, 0]
-        assert parse_path("").heights() == [0]
-
-    def test_final_height(self):
-        assert parse_path("UUD").final_height == 1
-        assert parse_path("DD").final_height == -2
-
-    def test_step_rises(self):
-        assert Step.UP.rise == 1
-        assert Step.DOWN.rise == -1
-        assert Step.RIGHT.rise == 0
+@pytest.mark.parametrize(
+    "fn",
+    [classify, is_dyck, is_plain_path, is_dispersed_dyck, stats, one_ascent_positions],
+    ids=lambda fn: fn.__name__,
+)
+@pytest.mark.parametrize("word", ["UDRUD", "UUDD", "DUD", "URD"])
+def test_word_is_scanned_once(fn, word, scans):
+    path = parse_path(word)
+    fn(path)
+    assert scans.count(word) == 1  # by parse_path alone
+    fn(word)
+    assert scans.count(word) == 2  # a raw word is scanned once
 
 
 class TestClassify:
@@ -151,10 +147,7 @@ def test_stats_print_parse_roundtrip(word):
 @given(words)
 def test_ddp_classification_implies_scan_conditions(word):
     if classify(word) in (PathClass.DISPERSED_DYCK, PathClass.DYCK):
-        heights = PathWord(word).heights()
-        assert min(heights) >= 0
-        assert heights[-1] == 0
-        assert all(heights[i] == 0 for i, ch in enumerate(word) if ch == "R")
+        assert oracle_is_ddp(word)
         s = stats(word)
         assert s.ups == s.downs
 

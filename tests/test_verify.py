@@ -96,6 +96,24 @@ def test_verify_all_refuses_the_whole_selection_before_running(monkeypatch):
     assert calls == []
 
 
+def test_arithmetic_checks_refuse_ranges_beyond_their_limits(monkeypatch):
+    calls = []
+    for check_id in ("L4-closed", "CONV", "ASYM"):
+        spec = ddpaths.verify._CHECKS[check_id]
+        spy = dataclasses.replace(spec, run=lambda n: calls.append(n))
+        monkeypatch.setitem(ddpaths.verify._CHECKS, check_id, spy)
+    with pytest.raises(ValueError, match="^L4-closed is arithmetic; max_n 2001 exceeds the limit"):
+        verify_all(ids=["L4-closed", "ASYM"], max_n=2001)
+    with pytest.raises(ValueError, match="^CONV is arithmetic; max_n 501 exceeds the limit of 500$"):
+        verify_all(ids=["ASYM", "CONV"], max_n=501)
+    assert calls == []
+    # ASYM ignores max_n, so it accepts any range; L4-closed and CONV accept their limits
+    verify_all(ids=["ASYM"], max_n=10**9)
+    verify_all(ids=["L4-closed"], max_n=2000)
+    verify_lemma("CONV", 500)
+    assert calls == [10**9, 2000, 500]
+
+
 def test_verify_all_runs_selected_ids_in_canonical_order():
     report = verify_all(ids=["CONV", "L1-count"], max_n=8)
     assert [c.check_id for c in report.checks] == ["L1-count", "CONV"]
@@ -355,7 +373,9 @@ class TestFaultInjection:
         monkeypatch.setattr(ddpaths.verify, "_cut_ascent", cut)
         monkeypatch.setattr(ddpaths.verify, "_paste_ascent", paste)
         assert verify_lemma("L5-bijection", 10) == _failed(
-            "L5-bijection", L5_BIJECTION_RANGE.format(10), {"n": 2, "images": 1, "slots": 1}
+            "L5-bijection",
+            L5_BIJECTION_RANGE.format(10),
+            {"n": 2, "missing": [("", "start")], "extra": [("Z", "start")]},
         )
 
     def test_l5_count_brute(self, monkeypatch):
