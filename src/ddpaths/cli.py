@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from itertools import count, islice
 
 from .bijections import (
     BijectionRecord,
@@ -40,13 +41,16 @@ from .enumeration import (
     totals_brute,
 )
 from .formulas import (
+    _closed_rows,
+    _convolution_terms,
+    _one_ascent_terms,
+    _rights,
     a_asymptotic,
     a_closed,
     central_binomial,
+    central_binomials,
     dyck_count,
     r_closed,
-    r_convolution,
-    totals_closed,
     u_closed,
 )
 from .paths import parse_path, stats
@@ -71,11 +75,13 @@ _MAPS = {
     "updown-inv": updown_inverse,
 }
 
+# sequence -> its terms at lengths 0, 1, 2, ... from one pass over B(0), B(1), ...;
+# convolution stays a self-convolution of B values, the route CONV checks against R(n)
 _SEQUENCES = {
-    "one-ascents": a_closed,
-    "right-steps": r_closed,
-    "ddp-count": central_binomial,
-    "convolution": r_convolution,
+    "one-ascents": _one_ascent_terms,
+    "right-steps": lambda bs: map(_rights, count(), bs),
+    "ddp-count": lambda bs: bs,
+    "convolution": _convolution_terms,
 }
 
 _FAMILIES = {
@@ -135,14 +141,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_totals(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"largest length must be non-negative, got {args.n}")
-    if args.method == "brute":  # refuse a length over the cap before any row is computed
-        _require_enumerable(args.n, args.cap)
+    if args.method == "brute":
+        _require_enumerable(args.n, args.cap)  # refuse a length over the cap before any row
+        rows = (totals_brute(n, cap=args.cap) for n in range(args.n + 1))
+    else:
+        rows = islice(_closed_rows(central_binomials()), args.n + 1)
     table = CountTable()
-    for n in range(args.n + 1):
-        if args.method == "brute":
-            table.add(totals_brute(n, cap=args.cap))
-        else:
-            table.add(totals_closed(n))
+    for row in rows:
+        table.add(row)
     if args.format == "json":
         print(json.dumps(table.to_json_list()))
     else:
@@ -203,8 +209,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sequence(args: argparse.Namespace) -> int:
     if args.terms < 1:
         raise ValueError(f"--terms must be >= 1, got {args.terms}")
-    fn = _SEQUENCES[args.which]
-    values = [fn(m) for m in range(args.terms)]
+    values = list(islice(_SEQUENCES[args.which](central_binomials()), args.terms))
     indices = range(args.offset, args.offset + args.terms)
     if args.format == "text":
         print(" ".join(str(v) for v in values))

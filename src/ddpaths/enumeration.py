@@ -216,20 +216,19 @@ def enumerate_plain(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Path
 def count_ddp_dp(n: int) -> int:
     """Count DDPs of length ``n`` by dynamic programming over (position, height).
 
-    Dense O(n^2) table, exact integers throughout; independent of both the
-    enumerator and the closed formula.
+    After s steps only heights 0..min(s, n - s) can still return to the axis,
+    so the table holds just those: about n^2/4 cells in all, exact integers
+    throughout; independent of both the enumerator and the closed formula.
     """
     if n < 0:
         raise ValueError(f"path length must be non-negative, got {n}")
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for _ in range(n):
-        nxt = [0] * (n + 1)
+    ways = [1]  # after 0 steps: height 0
+    for s in range(1, n + 1):
+        live = min(s, n - s)
+        nxt = [0] * (live + 1)
         for h, c in enumerate(ways):
-            if not c:
-                continue
-            # after s < n steps a reached height is at most s, so h + 1 <= n fits the table
-            nxt[h + 1] += c  # up
+            if h < live:  # an up step to h + 1 can still come back down in time
+                nxt[h + 1] += c
             if h:
                 nxt[h - 1] += c  # down
             else:

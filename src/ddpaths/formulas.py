@@ -10,12 +10,14 @@ the log domain because ``2**n`` leaves double range near n = 1024.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from itertools import count, tee
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .enumeration import CountRow
 
 __all__ = [
     "central_binomial",
+    "central_binomials",
     "catalan",
     "dyck_count",
     "r_closed",
@@ -36,25 +38,121 @@ def central_binomial(n: int) -> int:
     return math.comb(n, n // 2)
 
 
+def central_binomials() -> Iterator[int]:
+    """B(0), B(1), B(2), ...: every ``central_binomial(n)`` in order, from one running pass.
+
+    Each value comes from the one before it: C(2k+1, k) = C(2k, k) * (2k+1) / (k+1)
+    (an exact division) and C(2k+2, k+1) = 2 * C(2k+1, k).  The first N values
+    cost O(N) big-integer products instead of N separate ``math.comb`` calls.
+    """
+    b = 1
+    k = 0
+    while True:
+        yield b  # C(2k, k)
+        b = b * (2 * k + 1) // (k + 1)
+        yield b  # C(2k+1, k)
+        b *= 2
+        k += 1
+
+
+# Each closed form is stated once, in a private helper that takes the length and
+# its central binomial B.  The point-wise functions pass ``central_binomial(n)``;
+# the streams below pass the running values of ``central_binomials()``.
+
+
+def _dyck(n: int, b: int) -> int:
+    """Dyck paths of length ``n`` from ``b = B(n)``: C(2k, k) / (k+1) for n = 2k, else 0."""
+    return 0 if n % 2 else b // (n // 2 + 1)
+
+
+def _rights(n: int, b: int) -> int:
+    """R(n) from ``b = B(n)``."""
+    return (1 << n) - b
+
+
+def _ups(n: int, b: int) -> int:
+    """U(n) from ``b = B(n)``; the numerator is checked to be even, not assumed."""
+    numerator = (n + 1) * b - (1 << n)
+    half, rem = divmod(numerator, 2)
+    if rem:
+        raise ArithmeticError(f"u_closed({n}): numerator {numerator} is odd")
+    return half
+
+
+def _one_ascents(m: int, b: int) -> int:
+    """A(m) for ``m >= 2`` from ``b = B(m - 2)``; the numerator is checked to be even."""
+    n = m - 2
+    numerator = (1 << n) + (n + 1) * b
+    half, rem = divmod(numerator, 2)
+    if rem:
+        raise ArithmeticError(f"a_closed({m}): numerator {numerator} is odd")
+    return half
+
+
+def _convolution(n: int, bs: Sequence[int]) -> int:
+    """The self-convolution sum of B(k) * B(n-k-1) over k < n, from ``bs = B(0..n-1)``."""
+    return sum(bs[k] * bs[n - k - 1] for k in range(n))
+
+
+def _row(n: int, b: int, one_ascents: int) -> CountRow:
+    """Every total of length ``n`` from ``b = B(n)`` and the 1-ascent total."""
+    ups = _ups(n, b)  # every up step is matched by a down step
+    return CountRow(
+        n=n,
+        ddp=b,
+        dyck=_dyck(n, b),
+        ups=ups,
+        downs=ups,
+        rights=_rights(n, b),
+        one_ascents=one_ascents,
+    )
+
+
+def _one_ascent_terms(bs: Iterable[int]) -> Iterator[int]:
+    """A(0), A(1), A(2), ... from B(0), B(1), ... in ``bs``: A(m) reads B(m - 2)."""
+    yield 0  # lengths 0 and 1 admit no 1-ascent
+    yield 0
+    for n, b in enumerate(bs):
+        yield _one_ascents(n + 2, b)
+
+
+def _convolution_terms(bs: Iterable[int]) -> Iterator[int]:
+    """The self-convolutions of B(0), B(1), ... in ``bs``, at n = 0, 1, 2, ...
+
+    Term n reads B(0..n-1) only, so the terms stream along with ``bs``.
+    """
+    seen: list[int] = []
+    for n, b in enumerate(bs):
+        yield _convolution(n, seen)
+        seen.append(b)
+
+
+def _closed_rows(bs: Iterable[int]) -> Iterator[CountRow]:
+    """totals_closed(0), totals_closed(1), ... from one pass over B(0), B(1), ... in ``bs``."""
+    bs, lagged = tee(bs)
+    for n, b, one_ascents in zip(count(), bs, _one_ascent_terms(lagged)):
+        yield _row(n, b, one_ascents)
+
+
 def catalan(k: int) -> int:
     """The k-th Catalan number: the number of Dyck paths of length ``2k``."""
     if k < 0:
         raise ValueError(f"index must be non-negative, got {k}")
-    return math.comb(2 * k, k) // (k + 1)
+    return dyck_count(2 * k)
 
 
 def dyck_count(n: int) -> int:
     """Number of Dyck paths of length ``n``; zero for odd ``n``."""
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    return 0 if n % 2 else catalan(n // 2)
+    return _dyck(n, central_binomial(n))
 
 
 def r_closed(n: int) -> int:
     """Total right steps over all DDPs of length ``n``: ``2**n - C(n, floor(n/2))``."""
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    return (1 << n) - central_binomial(n)
+    return _rights(n, central_binomial(n))
 
 
 def u_closed(n: int) -> int:
@@ -65,11 +163,7 @@ def u_closed(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    numerator = (n + 1) * central_binomial(n) - (1 << n)
-    half, rem = divmod(numerator, 2)
-    if rem:
-        raise ArithmeticError(f"u_closed({n}): numerator {numerator} is odd")
-    return half
+    return _ups(n, central_binomial(n))
 
 
 def a_closed(m: int) -> int:
@@ -83,12 +177,7 @@ def a_closed(m: int) -> int:
         raise ValueError(f"length must be non-negative, got {m}")
     if m < 2:
         return 0
-    n = m - 2
-    numerator = (1 << n) + (n + 1) * central_binomial(n)
-    half, rem = divmod(numerator, 2)
-    if rem:
-        raise ArithmeticError(f"a_closed({m}): numerator {numerator} is odd")
-    return half
+    return _one_ascents(m, central_binomial(m - 2))
 
 
 def r_convolution(n: int) -> int:
@@ -99,21 +188,12 @@ def r_convolution(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    return sum(central_binomial(k) * central_binomial(n - k - 1) for k in range(n))
+    return _convolution(n, [central_binomial(k) for k in range(n)])
 
 
 def totals_closed(n: int) -> CountRow:
     """Every total of length ``n`` from its closed form; the counterpart of ``totals_brute``."""
-    ups = u_closed(n)  # every up step is matched by a down step
-    return CountRow(
-        n=n,
-        ddp=central_binomial(n),
-        dyck=dyck_count(n),
-        ups=ups,
-        downs=ups,
-        rights=r_closed(n),
-        one_ascents=a_closed(n),
-    )
+    return _row(n, central_binomial(n), a_closed(n))
 
 
 class AsymptoticEstimate(NamedTuple):

@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterable
 
 from .bijections import (
@@ -44,10 +45,12 @@ from .enumeration import (
     totals_brute,
 )
 from .formulas import (
+    _closed_rows,
     a_closed,
     asymptotic_ratio,
     catalan,
     central_binomial,
+    central_binomials,
     dyck_count,
     r_closed,
     r_convolution,
@@ -238,8 +241,26 @@ def _check_l3_bijection(max_n: int) -> dict | None:
     return None
 
 
+def _stream_mismatch(max_n: int) -> dict | None:
+    """The streamed B(0..max_n), then the R, U and A terms built on them, against point-wise."""
+    bs = list(islice(central_binomials(), max_n + 1))
+    mismatch = _first_mismatch(
+        range(max_n + 1), bs.__getitem__, central_binomial, "stream", "central_binomial"
+    )
+    if mismatch:  # a wrong B may make a term's numerator odd, so compare B first
+        return mismatch
+    rows = list(_closed_rows(bs))
+    return _first_mismatch(
+        range(max_n + 1),
+        lambda n: [rows[n].rights, rows[n].ups, rows[n].one_ascents],
+        lambda n: [r_closed(n), u_closed(n), a_closed(n)],
+        "streamed R,U,A",
+        "point-wise R,U,A",
+    )
+
+
 def _check_l4_closed(max_n: int) -> dict | None:
-    """Base cases against brute force, then the recursions both sides satisfy."""
+    """Base cases against brute force, the recursions both sides satisfy, then the stream."""
 
     def odd_recursion(n: int) -> int:
         k = (n - 1) // 2
@@ -270,6 +291,7 @@ def _check_l4_closed(max_n: int) -> dict | None:
             "2*C(l-1,l/2-1)",
             var="l",
         )
+        or _stream_mismatch(max_n)
     )
 
 
@@ -368,8 +390,8 @@ class _CheckSpec:
 
 _CLOSED_TAIL = f" (brute); 0 <= n <= {_CLOSED_RANGE} (closed forms)"
 
-# arithmetic limits: one run at the limit takes about a second (Python 3.11, 2 Xeon vCPUs);
-# L4-closed took 1.2 s at 2000 and 3.6 s at 3000, CONV 0.9 s at 500 and 1.9 s at 600
+# arithmetic limits: one run at the limit takes one to two seconds (Python 3.11, 2 Xeon
+# vCPUs); L4-closed takes 1.7-2.0 s at 2000 with its stream comparison, CONV 0.5-0.6 s at 500
 _CHECKS: dict[str, _CheckSpec] = {
     "L1-count": _CheckSpec(_check_l1_count, True, 14, 22, "0 <= n <= {n}"),
     "L1-bijection": _CheckSpec(_check_l1_bijection, True, 14, 16, "0 <= n <= {n}"),
@@ -388,7 +410,7 @@ _CHECKS: dict[str, _CheckSpec] = {
         False,
         400,
         400,
-        "1 <= n <= {n} (recursions); base cases n = 1, 2 brute",
+        "1 <= n <= {n} (recursions); 0 <= n <= {n} (stream); base cases n = 1, 2 brute",
         max_n=2000,
     ),
     "L5-bijection": _CheckSpec(

@@ -12,7 +12,9 @@ import pytest
 
 import ddpaths.cli
 import ddpaths.verify
+from ddpaths import a_closed, central_binomial, r_closed, r_convolution, totals_closed
 from ddpaths.cli import main
+from ddpaths.enumeration import CSV_HEADER
 from ddpaths.verify import CheckResult, VerificationReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -109,6 +111,38 @@ class TestSequenceGolden:
         code, _, err = run_cli(capsys, "sequence", "ddp-count", "--terms", "0")
         assert code == 2
         assert "terms" in err
+
+
+class TestStreamedOutput:
+    """Streamed sequences and closed totals agree term by term with the point-wise forms."""
+
+    @pytest.mark.parametrize(
+        "which,pointwise",
+        [("one-ascents", a_closed), ("right-steps", r_closed), ("ddp-count", central_binomial)],
+    )
+    def test_sequence_matches_pointwise(self, capsys, which, pointwise):
+        code, out, _ = run_cli(capsys, "sequence", which, "--terms", "2000", "--format", "bfile")
+        assert code == 0
+        assert out == "".join(f"{m} {pointwise(m)}\n" for m in range(2000))
+
+    def test_convolution_matches_pointwise(self, capsys):
+        code, out, _ = run_cli(capsys, "sequence", "convolution", "--terms", "300")
+        assert code == 0
+        assert out == " ".join(str(r_convolution(n)) for n in range(300)) + "\n"
+
+    @pytest.mark.parametrize("terms,expected", [(1, "0"), (2, "0 0"), (3, "0 0 1")])
+    def test_one_ascents_below_the_stream_lag(self, capsys, terms, expected):
+        # A(m) reads B(m - 2), so the first two terms come before any streamed value
+        code, out, _ = run_cli(capsys, "sequence", "one-ascents", "--terms", str(terms))
+        assert code == 0
+        assert out == expected + "\n"
+
+    @pytest.mark.parametrize("n", [0, 500])
+    def test_closed_totals_match_pointwise(self, capsys, n):
+        code, out, _ = run_cli(capsys, "totals", str(n), "--method", "closed")
+        assert code == 0
+        rows = [totals_closed(k).to_csv() for k in range(n + 1)]
+        assert out == "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 class TestCount:

@@ -129,6 +129,11 @@ class TestDpCount:
     def test_matches_enumeration(self, n):
         assert count_ddp_dp(n) == len(oracle_ddp_words(n) if n <= 8 else words(enumerate_ddp(n)))
 
+    def test_live_heights_bound_keeps_every_count(self):
+        # both parities: the table shrinks toward the end of an odd and an even walk alike
+        for n in range(61):
+            assert count_ddp_dp(n) == math.comb(n, n // 2), n
+
 
 class TestTotals:
     def test_row_n0(self):

@@ -1,6 +1,7 @@
 """Closed-form counters: spot values, identities at scale, and oracle equivalence."""
 
 import math
+from itertools import islice
 
 import pytest
 
@@ -10,6 +11,7 @@ from ddpaths import (
     asymptotic_ratio,
     catalan,
     central_binomial,
+    central_binomials,
     dyck_count,
     enumerate_dyck,
     r_closed,
@@ -46,6 +48,10 @@ class TestSpotValues:
     @pytest.mark.parametrize("n,expected", [(0, 0), (1, 1), (4, 10)])
     def test_r_convolution(self, n, expected):
         assert r_convolution(n) == expected
+
+    def test_central_binomials_stream(self):
+        # both recurrence steps, C(2k+1, k) from C(2k, k) and C(2k+2, k+1) from C(2k+1, k)
+        assert list(islice(central_binomials(), 501)) == [math.comb(n, n // 2) for n in range(501)]
 
     def test_dyck_count_odd_is_zero(self):
         assert dyck_count(7) == 0

@@ -42,6 +42,7 @@ PUBLIC_NAMES = [
     "asymptotic_ratio",
     "catalan",
     "central_binomial",
+    "central_binomials",
     "classify",
     "count_ddp_dp",
     "ddp_to_plain",

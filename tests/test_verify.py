@@ -16,6 +16,7 @@ from ddpaths import (
     asymptotic_ratio,
     catalan,
     central_binomial,
+    central_binomials,
     ddp_to_plain,
     one_ascent_positions,
     plain_to_ddp,
@@ -30,6 +31,7 @@ from ddpaths import (
     verify_lemma,
 )
 from ddpaths.bijections import START, _cut_ascent, _paste_ascent
+from ddpaths.formulas import _closed_rows
 
 
 ALL_IDS = (
@@ -246,6 +248,32 @@ class TestFaultInjection:
             "L4-closed", L4_RANGE.format(6), {"l": 6, "C(l,l/2)": 40, "2*C(l-1,l/2-1)": 20}
         )
 
+    def test_l4_stream_term(self, monkeypatch):
+        def shifted():
+            for n, b in enumerate(central_binomials()):
+                yield b + (n == 7)
+
+        monkeypatch.setattr(ddpaths.verify, "central_binomials", shifted)
+        assert verify_lemma("L4-closed", 10) == _failed(
+            "L4-closed", L4_RANGE.format(10), {"n": 7, "stream": 36, "central_binomial": 35}
+        )
+
+    def test_l4_streamed_row(self, monkeypatch):
+        def shifted(bs):
+            for row in _closed_rows(bs):
+                yield row if row.n != 8 else dataclasses.replace(row, one_ascents=0)
+
+        monkeypatch.setattr(ddpaths.verify, "_closed_rows", shifted)
+        assert verify_lemma("L4-closed", 10) == _failed(
+            "L4-closed",
+            L4_RANGE.format(10),
+            {
+                "n": 8,
+                "streamed R,U,A": [r_closed(8), u_closed(8), 0],
+                "point-wise R,U,A": [r_closed(8), u_closed(8), a_closed(8)],
+            },
+        )
+
     def test_l1_count(self, monkeypatch):
         _shift_totals(monkeypatch, "ddp", at=5)
         assert verify_lemma("L1-count", 10) == _failed(
@@ -451,7 +479,7 @@ class TestFaultInjection:
 
 
 L3_BIJECTION_RANGE = "odd 1 <= n <= {} (bijection); 1 <= k <= 200 (Catalan argument)"
-L4_RANGE = "1 <= n <= {} (recursions); base cases n = 1, 2 brute"
+L4_RANGE = "1 <= n <= {0} (recursions); 0 <= n <= {0} (stream); base cases n = 1, 2 brute"
 L5_BIJECTION_RANGE = "2 <= n <= {} (longer path length)"
 L5_COUNT_RANGE = "2 <= n <= {} (brute); 0 <= n <= 400 (closed forms)"
 EQSTAR_RANGE = "0 <= n <= {} (brute); 0 <= n <= 400 (closed forms)"
