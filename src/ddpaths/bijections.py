@@ -67,6 +67,14 @@ class SlotKind(Enum):
     __hash__ = object.__hash__
 
 
+# The CLI's --slot syntax, stated only here: a kind's name, then ":IDX" for the 0-based
+# index of the step the slot follows; that step's letter is the kind's entry in _SLOT_LETTERS.
+_SLOT_NAMES = {SlotKind.START: "start", SlotKind.DOWN_STEP: "down", SlotKind.RIGHT_STEP: "right"}
+_SLOT_LETTERS = {SlotKind.DOWN_STEP: "D", SlotKind.RIGHT_STEP: "R"}
+_SLOT_SYNTAX = "{}, {}:IDX or {}:IDX".format(*_SLOT_NAMES.values())
+_KIND_NAMED = {name: kind for kind, name in _SLOT_NAMES.items()}
+
+
 def _is_index(value: object) -> bool:
     # a bool is an int, but True must not pass for step 1 nor False for step 0
     return isinstance(value, int) and not isinstance(value, bool)
@@ -94,6 +102,28 @@ class SlotRef:
 
 
 START = SlotRef(SlotKind.START)
+
+
+def _parse_slot(text: str) -> SlotRef:
+    """Parse a slot written in the ``--slot`` syntax into a :class:`SlotRef`."""
+    name, sep, idx = text.partition(":")
+    name = name.lower()
+    kind = _KIND_NAMED.get(name)
+    if kind is SlotKind.START:
+        if sep:
+            raise ValueError(f"slot {name!r} carries no index")
+        return START
+    if kind is None:
+        raise ValueError(f"unknown slot kind {text!r}; expected {_SLOT_SYNTAX}")
+    if not idx.isdecimal():
+        raise ValueError(f"slot {text!r} needs a non-negative step index, e.g. {name}:0")
+    return SlotRef(kind, int(idx))
+
+
+def _slot_text(slot: SlotRef) -> str:
+    """``slot`` in the ``--slot`` syntax, as :func:`_parse_slot` reads it back."""
+    name = _SLOT_NAMES[slot.kind]
+    return name if slot.index is None else f"{name}:{slot.index}"
 
 
 @dataclass(frozen=True)
@@ -216,7 +246,7 @@ def updown_inverse(path: PathWord | str) -> PathWord:
     return PathWord(word[:last_right] + "U" + word[last_right + 1 :] + "D")
 
 
-_KIND_AFTER = {"D": SlotKind.DOWN_STEP, "R": SlotKind.RIGHT_STEP}
+_KIND_AFTER = {letter: kind for kind, letter in _SLOT_LETTERS.items()}
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +294,7 @@ def ascent_insert(path: PathWord | str, slot: SlotRef) -> PathWord:
     """
     word = _require_ddp(path)
     if slot.kind is not SlotKind.START:
-        expected = "D" if slot.kind is SlotKind.DOWN_STEP else "R"
+        expected = _SLOT_LETTERS[slot.kind]
         idx = slot.index
         if idx is None or not 0 <= idx < len(word) or word[idx] != expected:
             raise ValueError(

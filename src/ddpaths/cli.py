@@ -19,9 +19,9 @@ import sys
 from itertools import count, islice
 
 from .bijections import (
+    _SLOT_SYNTAX,
     BijectionRecord,
-    SlotKind,
-    SlotRef,
+    _parse_slot,
     ascent_insert,
     ascent_remove,
     ddp_to_plain,
@@ -30,8 +30,8 @@ from .bijections import (
     updown_inverse,
 )
 from .enumeration import (
+    CSV_HEADER,
     DEFAULT_ENUMERATION_CAP,
-    CountTable,
     _require_enumerable,
     count_ddp_dp,
     enumerate_ddp,
@@ -146,30 +146,13 @@ def _cmd_totals(args: argparse.Namespace) -> int:
         rows = (totals_brute(n, cap=args.cap) for n in range(args.n + 1))
     else:
         rows = islice(_closed_rows(central_binomials()), args.n + 1)
-    table = CountTable()
-    for row in rows:
-        table.add(row)
     if args.format == "json":
-        print(json.dumps(table.to_json_list()))
-    else:
-        print(table.to_csv())
+        print(json.dumps([row.to_json_dict() for row in rows]))
+    else:  # each row prints as soon as it is computed
+        print(CSV_HEADER)
+        for row in rows:
+            print(row.to_csv())
     return 0
-
-
-def _parse_slot(text: str) -> SlotRef:
-    """Parse 'start', 'down:IDX' or 'right:IDX' into a SlotRef."""
-    kind, sep, idx = text.partition(":")
-    kind = kind.lower()
-    if kind == "start":
-        if sep:
-            raise ValueError("slot 'start' carries no index")
-        return SlotRef(SlotKind.START)
-    if kind not in ("down", "right"):
-        raise ValueError(f"unknown slot kind {text!r}; expected start, down:IDX or right:IDX")
-    if not idx.isdecimal():
-        raise ValueError(f"slot {text!r} needs a non-negative step index, e.g. {kind}:0")
-    step_kind = SlotKind.DOWN_STEP if kind == "down" else SlotKind.RIGHT_STEP
-    return SlotRef(step_kind, int(idx))
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
@@ -209,19 +192,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sequence(args: argparse.Namespace) -> int:
     if args.terms < 1:
         raise ValueError(f"--terms must be >= 1, got {args.terms}")
-    values = list(islice(_SEQUENCES[args.which](central_binomials()), args.terms))
-    indices = range(args.offset, args.offset + args.terms)
+    values = islice(_SEQUENCES[args.which](central_binomials()), args.terms)
+    # text, b-file and CSV lines print term by term; only JSON collects the terms
     if args.format == "text":
-        print(" ".join(str(v) for v in values))
+        print(*values)
     elif args.format == "bfile":
-        for i, v in zip(indices, values):
+        for i, v in enumerate(values, args.offset):
             print(f"{i} {v}")
     elif args.format == "csv":
         print("n,value")
-        for i, v in zip(indices, values):
+        for i, v in enumerate(values, args.offset):
             print(f"{i},{v}")
     else:
-        print(json.dumps({"sequence": args.which, "offset": args.offset, "values": values}))
+        print(json.dumps({"sequence": args.which, "offset": args.offset, "values": list(values)}))
     return 0
 
 
@@ -305,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--slot",
         default=None,
-        help="insertion slot for ascent-insert: start, down:IDX or right:IDX",
+        help=f"insertion slot for ascent-insert: {_SLOT_SYNTAX}",
     )
     p.set_defaults(handler=_cmd_bijection)
 

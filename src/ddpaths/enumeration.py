@@ -17,7 +17,7 @@ enumerates takes the cap as an argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
@@ -27,7 +27,6 @@ from .paths import PathWord
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "CountRow",
-    "CountTable",
     "DistributionTable",
     "enumerate_ddp",
     "enumerate_dyck",
@@ -76,24 +75,6 @@ class CountRow:
             f"{self.n},{self.ddp},{self.dyck},{self.ups},"
             f"{self.downs},{self.rights},{self.one_ascents}"
         )
-
-
-@dataclass
-class CountTable:
-    """Length-indexed collection of :class:`CountRow` values."""
-
-    rows: dict[int, CountRow] = field(default_factory=dict)
-
-    def add(self, row: CountRow) -> None:
-        self.rows[row.n] = row
-
-    def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        lines.extend(self.rows[n].to_csv() for n in sorted(self.rows))
-        return "\n".join(lines)
-
-    def to_json_list(self) -> list[dict]:
-        return [self.rows[n].to_json_dict() for n in sorted(self.rows)]
 
 
 @dataclass(frozen=True)
@@ -178,7 +159,12 @@ def _fold(n: int, k: int) -> tuple[int, int, int, int, tuple[int, ...]]:
         else:
             rec(remaining, 0, ups, downs, rights + 1, runs, 0)
 
-    rec(n, 0, 0, 0, 0, 0, 0)
+    try:
+        rec(n, 0, 0, 0, 0, 0, 0)
+    except RecursionError:
+        raise ValueError(
+            f"length {n} is too long for the brute-force walk, which recurses once per step"
+        ) from None
     return (*totals, tuple(hist))
 
 

@@ -31,6 +31,7 @@ from .bijections import (
     SlotRef,
     _cut_ascent,
     _paste_ascent,
+    _slot_text,
     ddp_to_plain,
     plain_to_ddp,
     r_pair_decomposition,
@@ -142,14 +143,9 @@ def _slots_of(word: str) -> list[SlotRef]:
     return slots
 
 
-_SLOT_NAMES = {SlotKind.DOWN_STEP: "down", SlotKind.RIGHT_STEP: "right"}
-
-
 def _pair_texts(pairs: set[tuple[str, SlotRef]]) -> set[tuple[str, str]]:
-    """Each (word, slot) with the slot in the CLI's ``--slot`` syntax: start, down:I, right:I."""
-    return {
-        (w, "start" if s.index is None else f"{_SLOT_NAMES[s.kind]}:{s.index}") for w, s in pairs
-    }
+    """Each (word, slot) with the slot in the CLI's ``--slot`` syntax."""
+    return {(w, _slot_text(s)) for w, s in pairs}
 
 
 def _check_l1_count(max_n: int) -> dict | None:
@@ -381,11 +377,12 @@ def _check_asym(max_n: int) -> dict | None:
 @dataclass(frozen=True)
 class _CheckSpec:
     run: Callable[[int], dict | None]  # first counterexample at the given range, or None
-    oracle: bool  # oracle-backed checks enumerate paths and respect the cap
     default_n: int
     deep_n: int
     range_text: str  # str.format template; {n} is the range in force
-    max_n: float = DEFAULT_ENUMERATION_CAP  # the largest range accepted
+    # an arithmetic check's largest range; None marks an oracle-backed check, which
+    # enumerates paths and is bounded by the enumeration cap
+    max_n: float | None = None
 
 
 _CLOSED_TAIL = f" (brute); 0 <= n <= {_CLOSED_RANGE} (closed forms)"
@@ -393,36 +390,32 @@ _CLOSED_TAIL = f" (brute); 0 <= n <= {_CLOSED_RANGE} (closed forms)"
 # arithmetic limits: one run at the limit takes one to two seconds (Python 3.11, 2 Xeon
 # vCPUs); L4-closed takes 1.7-2.0 s at 2000 with its stream comparison, CONV 0.5-0.6 s at 500
 _CHECKS: dict[str, _CheckSpec] = {
-    "L1-count": _CheckSpec(_check_l1_count, True, 14, 22, "0 <= n <= {n}"),
-    "L1-bijection": _CheckSpec(_check_l1_bijection, True, 14, 16, "0 <= n <= {n}"),
-    "L2-recursion": _CheckSpec(_check_l2_recursion, True, 14, 20, "even 2 <= n <= {n}"),
-    "L2-decomposition": _CheckSpec(_check_l2_decomposition, True, 14, 20, "even 2 <= n <= {n}"),
-    "L3-recursion": _CheckSpec(_check_l3_recursion, True, 13, 21, "odd 1 <= n <= {n}"),
+    "L1-count": _CheckSpec(_check_l1_count, 14, 22, "0 <= n <= {n}"),
+    "L1-bijection": _CheckSpec(_check_l1_bijection, 14, 16, "0 <= n <= {n}"),
+    "L2-recursion": _CheckSpec(_check_l2_recursion, 14, 20, "even 2 <= n <= {n}"),
+    "L2-decomposition": _CheckSpec(_check_l2_decomposition, 14, 20, "even 2 <= n <= {n}"),
+    "L3-recursion": _CheckSpec(_check_l3_recursion, 13, 21, "odd 1 <= n <= {n}"),
     "L3-bijection": _CheckSpec(
         _check_l3_bijection,
-        True,
         13,
         15,
         f"odd 1 <= n <= {{n}} (bijection); 1 <= k <= {_CATALAN_RANGE} (Catalan argument)",
     ),
     "L4-closed": _CheckSpec(
         _check_l4_closed,
-        False,
         400,
         400,
         "1 <= n <= {n} (recursions); 0 <= n <= {n} (stream); base cases n = 1, 2 brute",
         max_n=2000,
     ),
-    "L5-bijection": _CheckSpec(
-        _check_l5_bijection, True, 14, 18, "2 <= n <= {n} (longer path length)"
-    ),
-    "L5-count": _CheckSpec(_check_l5_count, True, 14, 18, "2 <= n <= {n}" + _CLOSED_TAIL),
-    "THM1": _CheckSpec(_check_thm1, True, 14, 22, "2 <= m <= {n}"),
-    "CONV": _CheckSpec(_check_conv, False, 300, 300, "0 <= n <= {n}", max_n=500),
-    "EQSTAR": _CheckSpec(_check_eqstar, True, 14, 22, "0 <= n <= {n}" + _CLOSED_TAIL),
+    "L5-bijection": _CheckSpec(_check_l5_bijection, 14, 18, "2 <= n <= {n} (longer path length)"),
+    "L5-count": _CheckSpec(_check_l5_count, 14, 18, "2 <= n <= {n}" + _CLOSED_TAIL),
+    "THM1": _CheckSpec(_check_thm1, 14, 22, "2 <= m <= {n}"),
+    "CONV": _CheckSpec(_check_conv, 300, 300, "0 <= n <= {n}", max_n=500),
+    "EQSTAR": _CheckSpec(_check_eqstar, 14, 22, "0 <= n <= {n}" + _CLOSED_TAIL),
     # fixed comparison points; max_n is not consulted, so any range is accepted
     "ASYM": _CheckSpec(
-        _check_asym, False, 10000, 10000, "m in {{%d, %d}}" % _ASYM_POINTS, max_n=math.inf
+        _check_asym, 10000, 10000, "m in {{%d, %d}}" % _ASYM_POINTS, max_n=math.inf
     ),
 }
 
@@ -446,12 +439,12 @@ def _resolve(check_id: str, max_n: int | None, deep: bool) -> tuple[_CheckSpec, 
         n = spec.deep_n if deep else spec.default_n
     if n < 0:
         raise ValueError(f"max_n must be non-negative, got {n}")
-    if n > spec.max_n:
-        if spec.oracle:
-            kind, limit = "oracle-backed", "enumeration cap"
-        else:
-            kind, limit = "arithmetic", "limit"
-        raise ValueError(f"{check_id} is {kind}; max_n {n} exceeds the {limit} of {spec.max_n}")
+    if spec.max_n is None:
+        kind, bound, limit = "oracle-backed", "enumeration cap", DEFAULT_ENUMERATION_CAP
+    else:
+        kind, bound, limit = "arithmetic", "limit", spec.max_n
+    if n > limit:
+        raise ValueError(f"{check_id} is {kind}; max_n {n} exceeds the {bound} of {limit}")
     return spec, n
 
 

@@ -21,7 +21,14 @@ from ddpaths import (
     updown_forward,
     updown_inverse,
 )
-from ddpaths.bijections import START, BijectionRecord, _cut_ascent, _paste_ascent
+from ddpaths.bijections import (
+    START,
+    BijectionRecord,
+    _cut_ascent,
+    _parse_slot,
+    _paste_ascent,
+    _slot_text,
+)
 from ddpaths.enumeration import _ddp_words, _plain_words
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -209,7 +216,9 @@ class TestAscentPairing:
         with pytest.raises(ValueError, match="does not reference"):
             ascent_insert(parse_path("UD"), SlotRef(SlotKind.DOWN_STEP, 0))  # an up step
         with pytest.raises(ValueError, match="does not reference"):
-            ascent_insert(parse_path("R"), SlotRef(SlotKind.DOWN_STEP, 0))
+            ascent_insert(parse_path("R"), SlotRef(SlotKind.DOWN_STEP, 0))  # a right step
+        with pytest.raises(ValueError, match="'R' step of 'UDR'"):
+            ascent_insert(parse_path("UDR"), SlotRef(SlotKind.RIGHT_STEP, 1))  # a down step
         with pytest.raises(ValueError, match="does not reference"):
             ascent_insert(parse_path("UD"), SlotRef(SlotKind.RIGHT_STEP, 5))
 
@@ -290,6 +299,22 @@ class TestAscentKernels:
     def test_slotref_rejects_non_int_index(self, kind, index):
         with pytest.raises(ValueError, match=f"a slot index must be an int, got {index!r}"):
             SlotRef(kind, index)
+
+
+class TestSlotSyntax:
+    """The ``--slot`` syntax: parsed by ``_parse_slot`` and rendered back by ``_slot_text``."""
+
+    @pytest.mark.parametrize("text", ["start", "down:0", "right:7"])
+    def test_parse_then_render_round_trips(self, text):
+        assert _slot_text(_parse_slot(text)) == text
+
+    def test_kind_names_ignore_case(self):
+        assert _parse_slot("Down:1") == SlotRef(SlotKind.DOWN_STEP, 1)
+
+    @pytest.mark.parametrize("kind", list(SlotKind), ids=lambda k: k.name)
+    def test_every_kind_renders(self, kind):
+        slot = START if kind is SlotKind.START else SlotRef(kind, 3)
+        assert _parse_slot(_slot_text(slot)) == slot
 
 
 class TestPairDecomposition:

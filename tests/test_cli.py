@@ -473,6 +473,22 @@ class TestUsageErrors:
 
 
 class TestOutputBoundary:
+    # the fold recurses once per step: past the recursion limit it is a usage error, not a crash
+    @pytest.mark.parametrize("stat", [["paths"], ["k-ascents", "-k", "2"]], ids=lambda a: a[0])
+    def test_brute_force_beyond_the_recursion_limit_exits_two(self, stat):
+        argv = ["count", *stat, "1200", "--method", "brute", "--cap", "1200"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddpaths", *argv],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: length 1200 is too long for the brute-force walk")
+        assert "Traceback" not in proc.stderr
+
     def test_values_beyond_the_int_str_limit_print(self, capsys):
         code, out, _ = run_cli(capsys, "count", "paths", "20000")
         assert code == 0
@@ -480,18 +496,27 @@ class TestOutputBoundary:
         assert len(digits) == 6019
         assert digits == str(math.comb(20000, 10000))
 
-    # 1500 steps lie far beyond the interpreter's recursion limit: the stream must not recurse
-    @pytest.mark.parametrize("argv", [["22"], ["1500", "--cap", "1500"]], ids=["22", "1500"])
-    def test_closed_pipe_ends_quietly(self, argv):
+    # 1500 steps lie far beyond the interpreter's recursion limit: the stream must not recurse;
+    # totals and the b-file print row by row, so their first line comes before the last row
+    @pytest.mark.parametrize(
+        "argv,first",
+        [
+            (["enumerate", "22"], "U" * 11 + "D" * 11),
+            (["enumerate", "1500", "--cap", "1500"], "U" * 750 + "D" * 750),
+            (["totals", "3000"], CSV_HEADER),
+            (["sequence", "one-ascents", "--terms", "20000", "--format", "bfile"], "0 0"),
+        ],
+        ids=["22", "1500", "totals", "sequence"],
+    )
+    def test_closed_pipe_ends_quietly(self, argv, first):
         proc = subprocess.Popen(
-            [sys.executable, "-m", "ddpaths", "enumerate", *argv],
+            [sys.executable, "-m", "ddpaths", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=CHILD_ENV,
             text=True,
         )
-        half = int(argv[0]) // 2
-        assert proc.stdout.readline() == "U" * half + "D" * half + "\n"
+        assert proc.stdout.readline() == first + "\n"
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()

@@ -16,7 +16,7 @@ from ddpaths import (
     one_ascent_distribution,
     totals_brute,
 )
-from ddpaths.enumeration import CSV_HEADER, CountTable, _ddp_words, _fold
+from ddpaths.enumeration import CSV_HEADER, _ddp_words, _fold
 
 from conftest import (
     lex_key,
@@ -186,14 +186,19 @@ class TestTotals:
             totals_brute(27)
 
     def test_csv_and_json_rendering(self):
-        table = CountTable()
-        table.add(totals_brute(4))
-        table.add(totals_brute(3))
-        assert table.to_csv() == f"{CSV_HEADER}\n3,3,0,2,2,5,2\n4,6,2,7,7,10,5"
-        assert table.to_json_list() == [
+        rows = [totals_brute(3), totals_brute(4)]
+        assert [row.to_csv() for row in rows] == ["3,3,0,2,2,5,2", "4,6,2,7,7,10,5"]
+        assert [row.to_json_dict() for row in rows] == [
             {"n": 3, "dD": 3, "dyck": 0, "U": 2, "D": 2, "R": 5, "A": 2},
             {"n": 4, "dD": 6, "dyck": 2, "U": 7, "D": 7, "R": 10, "A": 5},
         ]
+        # the CSV header names the JSON keys, column by column
+        assert CSV_HEADER.split(",") == list(rows[0].to_json_dict())
+
+    # the fold recurses once per step, so a raised cap meets the interpreter's recursion limit
+    def test_walk_beyond_the_recursion_limit_is_refused(self):
+        with pytest.raises(ValueError, match="^length 1200 is too long for the brute-force walk"):
+            totals_brute(1200, cap=1200)
 
     def test_one_cached_walk_per_length(self):
         totals_brute(16)

@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "CHECK_IDS",
     "CheckResult",
     "CountRow",
-    "CountTable",
     "DEFAULT_ENUMERATION_CAP",
     "DistributionTable",
     "PathClass",
