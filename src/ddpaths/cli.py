@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from itertools import count, islice
@@ -43,9 +42,9 @@ from .enumeration import (
 from .formulas import (
     _closed_rows,
     _convolution_terms,
+    _log2_comparison,
     _one_ascent_terms,
     _rights,
-    a_asymptotic,
     a_closed,
     central_binomial,
     central_binomials,
@@ -214,10 +213,8 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
             raise ValueError(f"asymptotic comparison needs m >= 2, got {m}")
     print("m,log2_exact,log2_estimate,ratio")
     for m in args.m:
-        exact_log2 = math.log2(a_closed(m))
-        estimate = a_asymptotic(m)
-        ratio = 2.0 ** (exact_log2 - estimate.log2)
-        print(f"{m},{exact_log2:.6f},{estimate.log2:.6f},{ratio:.8f}")
+        exact_log2, estimate_log2, ratio = _log2_comparison(m)
+        print(f"{m},{exact_log2:.6f},{estimate_log2:.6f},{ratio:.8f}")
     return 0
 
 

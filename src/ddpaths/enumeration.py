@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 from typing import Iterator
 
 from .paths import PathWord
@@ -211,15 +212,10 @@ def count_ddp_dp(n: int) -> int:
     ways = [1]  # after 0 steps: height 0
     for s in range(1, n + 1):
         live = min(s, n - s)
-        nxt = [0] * (live + 1)
-        for h, c in enumerate(ways):
-            if h < live:  # an up step to h + 1 can still come back down in time
-                nxt[h + 1] += c
-            if h:
-                nxt[h - 1] += c  # down
-            else:
-                nxt[0] += c  # right, axis only
-        ways = nxt
+        w = ways + [0, 0]  # heights past the last live one hold no paths
+        # height 0 is reached by a right step from 0 or a down step from 1; height
+        # h >= 1 by an up step from h - 1 or a down step from h + 1
+        ways = [w[0] + w[1], *map(add, w[:live], w[2 : live + 2])]
     return ways[0]
 
 

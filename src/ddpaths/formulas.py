@@ -10,7 +10,8 @@ the log domain because ``2**n`` leaves double range near n = 1024.
 from __future__ import annotations
 
 import math
-from itertools import count, tee
+from itertools import compress, count, tee
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .enumeration import CountRow
@@ -31,11 +32,62 @@ __all__ = [
 ]
 
 
+# From this length on, central_binomial multiplies out the prime factorisation; below it
+# math.comb is faster.  Median call time in ms over five rounds of 300 calls, math.comb /
+# factored (CPython 3.11.7, 2 vCPUs): n = 1000 0.046 / 0.073, 1500 0.106 / 0.106,
+# 1600 0.119 / 0.106, 2000 0.182 / 0.132, 10**4 3.27 / 0.58.  Keep it at or below
+# L4-closed's limit of 2000, so that verify compares factored values with the stream.
+_FACTOR_FROM = 1600
+
+
 def central_binomial(n: int) -> int:
     """C(n, floor(n/2)): the number of dispersed Dyck paths of length ``n``."""
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    return math.comb(n, n // 2)
+    if n < _FACTOR_FROM:
+        return math.comb(n, n // 2)
+    return _factored_central_binomial(n)
+
+
+def _factored_central_binomial(n: int) -> int:
+    """C(n, k) with k = floor(n/2), as the product of p**e over the primes p <= n.
+
+    Legendre's formula gives each exponent: e is the sum over i >= 1 of
+    n // p**i - k // p**i - (n - k) // p**i.  The primes come from a sieve.
+    """
+    k = n // 2
+    root = math.isqrt(n)
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, root + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    factors = []
+    for p in compress(range(root + 1), sieve):
+        e = 0
+        q = p
+        while q <= n:
+            e += n // q - k // q - (n - k) // q
+            q *= p
+        if e:
+            factors.append(p**e)
+    # above sqrt(n) the sum has its i = 1 term only, so each exponent is 0 or 1
+    large = compress(range(root + 1, n + 1), memoryview(sieve)[root + 1 :])
+    factors += [p for p in large if n // p - k // p - (n - k) // p]
+    return _product_tree(factors)
+
+
+def _product_tree(xs: list[int]) -> int:
+    """The product of ``xs``, multiplied in pairs, then pairs of pairs, and so on.
+
+    Each product then joins operands of similar length, where CPython's Karatsuba
+    multiplication pays off; at n = 10**5 a left-to-right ``math.prod`` of the
+    prime powers is about three times slower.
+    """
+    while len(xs) > 1:
+        odd = xs[-1:] if len(xs) % 2 else []
+        xs = [*map(mul, xs[::2], xs[1::2]), *odd]
+    return xs[0] if xs else 1
 
 
 def central_binomials() -> Iterator[int]:
@@ -223,9 +275,15 @@ def a_asymptotic(m: int) -> AsymptoticEstimate:
     return AsymptoticEstimate(log2=log2, value=value)
 
 
+def _log2_comparison(m: int) -> tuple[float, float, float]:
+    """(log2 of the exact 1-ascent total, log2 of its estimate, their ratio) for ``m >= 2``."""
+    exact_log2 = math.log2(a_closed(m))
+    estimate_log2 = a_asymptotic(m).log2
+    return exact_log2, estimate_log2, 2.0 ** (exact_log2 - estimate_log2)
+
+
 def asymptotic_ratio(m: int) -> float:
     """Exact 1-ascent total divided by its asymptotic estimate, in the log domain."""
     if m < 2:
         raise ValueError(f"ratio needs m >= 2 (no 1-ascents below length 2), got {m}")
-    exact_log2 = math.log2(a_closed(m))
-    return 2.0 ** (exact_log2 - a_asymptotic(m).log2)
+    return _log2_comparison(m)[2]

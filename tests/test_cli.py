@@ -440,6 +440,16 @@ class TestAsymptotic:
         ratio_1000 = float(lines[2].split(",")[3])
         assert abs(ratio_1000 - 1.0) <= 0.01
 
+    def test_table_text_is_pinned(self, capsys):
+        _, out, _ = run_cli(capsys, "asymptotic", "2", "100", "1000", "10000")
+        assert out == (
+            "m,log2_exact,log2_estimate,ratio\n"
+            "2,0.000000,0.089755,0.93968219\n"
+            "100,100.163325,100.166530,0.99778124\n"
+            "1000,1001.712872,1001.713219,0.99975956\n"
+            "10000,10003.336042,10003.336077,0.99997531\n"
+        )
+
     def test_sweep_converges(self, capsys):
         _, out, _ = run_cli(capsys, "asymptotic", "100", "1000", "10000")
         ratios = [float(line.split(",")[3]) for line in out.splitlines()[1:]]

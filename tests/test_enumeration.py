@@ -134,6 +134,10 @@ class TestDpCount:
         for n in range(61):
             assert count_ddp_dp(n) == math.comb(n, n // 2), n
 
+    @pytest.mark.parametrize("n", [1999, 2000])
+    def test_whole_rows_at_scale(self, n):
+        assert count_ddp_dp(n) == math.comb(n, n // 2)
+
 
 class TestTotals:
     def test_row_n0(self):

@@ -4,6 +4,8 @@ import math
 from itertools import islice
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ddpaths import (
     a_asymptotic,
@@ -20,6 +22,7 @@ from ddpaths import (
     totals_closed,
     u_closed,
 )
+from ddpaths.formulas import _FACTOR_FROM
 
 
 class TestSpotValues:
@@ -61,6 +64,23 @@ class TestSpotValues:
         for fn in (central_binomial, catalan, dyck_count, r_closed, u_closed, a_closed, r_convolution):
             with pytest.raises(ValueError):
                 fn(-1)
+
+
+class TestFactoredCentralBinomial:
+    """Above the cutover B(n) is multiplied out from primes; math.comb stays the oracle."""
+
+    @pytest.mark.parametrize("n", [*range(_FACTOR_FROM - 3, _FACTOR_FROM + 4), 99999, 100000])
+    def test_across_the_cutover_and_at_scale(self, n):
+        assert central_binomial(n) == math.comb(n, n // 2)
+
+    @given(st.integers(min_value=0, max_value=30000))
+    def test_matches_math_comb(self, n):
+        assert central_binomial(n) == math.comb(n, n // 2)
+
+    @pytest.mark.parametrize("n", [2.0, 3000.0])
+    def test_non_int_rejected_on_both_sides(self, n):
+        with pytest.raises(TypeError):
+            central_binomial(n)
 
 
 class TestOracleEquivalence:

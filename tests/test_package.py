@@ -140,3 +140,33 @@ def test_modules_use_every_name_they_import():
         for name in _unused_imports(path.read_text())
     ]
     assert not unused
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Top-level modules imported from outside the standard library and the package."""
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:  # relative: the package
+            modules.append(node.module)
+    tops = [name.split(".")[0] for name in modules]
+    return [top for top in tops if top not in sys.stdlib_module_names and top != "ddpaths"]
+
+
+def test_foreign_import_scan_flags_a_third_party_import():
+    source = (
+        "import math, numpy.linalg\nfrom . import paths\nfrom ddpaths.paths import PathWord\n"
+        "from sympy import binomial\nfrom operator import add\n"
+    )
+    assert _foreign_imports(source) == ["numpy", "sympy"]
+
+
+def test_modules_import_only_the_standard_library():
+    src = ROOT / "src" / "ddpaths"
+    foreign = [
+        f"{path.name}: {name}"
+        for path in sorted(src.glob("*.py"))
+        for name in _foreign_imports(path.read_text())
+    ]
+    assert not foreign

@@ -31,7 +31,7 @@ from ddpaths import (
     verify_lemma,
 )
 from ddpaths.bijections import START, _cut_ascent, _paste_ascent
-from ddpaths.formulas import _closed_rows
+from ddpaths.formulas import _FACTOR_FROM, _closed_rows, _factored_central_binomial
 
 
 ALL_IDS = (
@@ -272,6 +272,24 @@ class TestFaultInjection:
                 "streamed R,U,A": [r_closed(8), u_closed(8), 0],
                 "point-wise R,U,A": [r_closed(8), u_closed(8), a_closed(8)],
             },
+        )
+
+    def test_l4_factored_binomial(self, monkeypatch):
+        # the first even length above the cutover; L4-closed's range reaches it only
+        # while the cutover stays within the check's limit
+        at = (_FACTOR_FROM // 2 + 1) * 2
+        monkeypatch.setattr(
+            "ddpaths.formulas._factored_central_binomial",
+            lambda n: _factored_central_binomial(n) + (n == at),
+        )
+
+        def rights(n):
+            return (1 << n) - math.comb(n, n // 2)
+
+        assert verify_lemma("L4-closed", at + 1) == _failed(
+            "L4-closed",
+            L4_RANGE.format(at + 1),
+            {"n": at, "R(n)": rights(at) - 1, "2*R(n-1)": 2 * rights(at - 1)},
         )
 
     def test_l1_count(self, monkeypatch):
