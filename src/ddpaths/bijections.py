@@ -27,6 +27,9 @@ emit valid paths, so downstream checks can assume class validity.  The
 1-ascent pairing is done by two private kernels on raw words,
 ``_cut_ascent`` and ``_paste_ascent``, which trust their input: the public
 maps guard them, and the verify harness feeds them enumerated words only.
+The kernels trade in insertion offsets: 0 for the start, ``i + 1`` after the
+down or right step at ``i``.  A :class:`SlotRef` is built only where a public
+map hands one out or takes one in.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .formulas import central_binomial, dyck_count
 from .paths import _ONE_ASCENT, PathWord, _path_of, is_dispersed_dyck, is_plain_path
@@ -62,8 +64,9 @@ class SlotKind(Enum):
     DOWN_STEP = "DownStep"
     RIGHT_STEP = "RightStep"
 
-    # members are singletons, so identity hashing agrees with equality and skips the
-    # Python-level Enum.__hash__ that every SlotRef hash would otherwise call
+    # members are singletons, so identity hashing agrees with equality; callers keep
+    # SlotRefs in sets and dicts, and each such hash would otherwise call the
+    # Python-level Enum.__hash__
     __hash__ = object.__hash__
 
 
@@ -249,25 +252,20 @@ def updown_inverse(path: PathWord | str) -> PathWord:
 _KIND_AFTER = {letter: kind for kind, letter in _SLOT_LETTERS.items()}
 
 
-@lru_cache(maxsize=None)
-def _slot_after(step: str, index: int) -> SlotRef:
-    """The slot after the ``step`` ("D" or "R") at ``index``, built once per key."""
-    return SlotRef(_KIND_AFTER[step], index)
+def _slot_at(word: str, at: int) -> SlotRef:
+    """The slot of ``word`` at insertion offset ``at``; raises if ``at`` names no slot."""
+    return START if at == 0 else SlotRef(_KIND_AFTER[word[at - 1]], at - 1)
 
 
-def _cut_ascent(word: str, pos: int) -> tuple[str, SlotRef]:
+def _cut_ascent(word: str, pos: int) -> tuple[str, int]:
     """Kernel of :func:`ascent_remove`; trusts ``word`` to be a DDP with a 1-ascent at ``pos``."""
-    # word[pos + 1] is "D": a DDP never ends right after a U, and an R sits only on the axis
-    shortened = word[:pos] + word[pos + 2 :]
-    if pos == 0:
-        return shortened, START
-    # the step before a 1-ascent is a D or an R
-    return shortened, _slot_after(word[pos - 1], pos - 1)
+    # word[pos + 1] is "D": a DDP never ends right after a U, and an R sits only on the
+    # axis; the step before a 1-ascent, if any, is a D or an R, so offset pos is a slot
+    return word[:pos] + word[pos + 2 :], pos
 
 
-def _paste_ascent(word: str, slot: SlotRef) -> str:
-    """Kernel of :func:`ascent_insert`; trusts that ``slot`` names a step of ``word``."""
-    at = 0 if slot.index is None else slot.index + 1
+def _paste_ascent(word: str, at: int) -> str:
+    """Kernel of :func:`ascent_insert`; trusts that offset ``at`` is a slot of ``word``."""
     return word[:at] + "UD" + word[at:]
 
 
@@ -282,8 +280,8 @@ def ascent_remove(path: PathWord | str, pos: int) -> tuple[PathWord, SlotRef]:
     # re clamps a negative pos to 0, so the guard keeps pos -1 from matching at 0
     if not (_is_index(pos) and 0 <= pos and _ONE_ASCENT.match(word, pos)):
         raise ValueError(f"position {pos} is not the up step of a 1-ascent in {word!r}")
-    shortened, slot = _cut_ascent(word, pos)
-    return PathWord(shortened), slot
+    shortened, at = _cut_ascent(word, pos)
+    return PathWord(shortened), _slot_at(shortened, at)
 
 
 def ascent_insert(path: PathWord | str, slot: SlotRef) -> PathWord:
@@ -293,15 +291,16 @@ def ascent_insert(path: PathWord | str, slot: SlotRef) -> PathWord:
     front of it is the path start, a down step, or a right step.
     """
     word = _require_ddp(path)
+    idx = slot.index
     if slot.kind is not SlotKind.START:
         expected = _SLOT_LETTERS[slot.kind]
-        idx = slot.index
         if idx is None or not 0 <= idx < len(word) or word[idx] != expected:
+            article = "an" if expected == "R" else "a"
             raise ValueError(
-                f"slot {slot.kind.value}@{idx} does not reference a "
+                f"slot {_slot_text(slot)} does not reference {article} "
                 f"{expected!r} step of {word!r}"
             )
-    return PathWord(_paste_ascent(word, slot))
+    return PathWord(_paste_ascent(word, 0 if idx is None else idx + 1))
 
 
 def r_pair_decomposition(n: int) -> int:

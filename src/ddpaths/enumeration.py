@@ -10,7 +10,7 @@ lexicographic under ``U < D < R`` so that streams are deterministic and
 golden-testable; it walks an explicit stack, so it streams at any length.
 ``_fold`` recurses over the same tree without building words and aggregates
 the step totals and the k-ascent histogram; every brute-force count reads its
-cache, the module's only one.  A cap (default 26, about 10.4 million words)
+cache, the package's only one.  A cap (default 26, about 10.4 million words)
 guards against accidental enumeration blowups; every entry point that
 enumerates takes the cap as an argument.
 """

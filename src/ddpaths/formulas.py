@@ -1,10 +1,13 @@
 """Closed-form counters in exact integer arithmetic, plus the asymptotic estimate.
 
-Every function here has a brute-force counterpart in
-:mod:`ddpaths.enumeration`; the verification harness and the test suite
-cross-check the two routes.  All integer results are exact at any length;
-the only floating point lives in the asymptotic estimator, which works in
-the log domain because ``2**n`` leaves double range near n = 1024.
+Each point-wise closed-form count here has a brute-force counterpart in
+:mod:`ddpaths.enumeration`, and the verification harness and the test suite
+cross-check the two routes.  Two kinds of function have none: the stream
+``central_binomials``, which is checked against ``central_binomial``, and
+the asymptotic estimators, which are checked against the exact closed form.
+All integer results are exact at any length; the only floating point lives
+in the asymptotic estimator, which works in the log domain because ``2**n``
+leaves double range near n = 1024.
 """
 
 from __future__ import annotations

@@ -22,15 +22,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable
 
 from .bijections import (
-    SlotKind,
-    SlotRef,
     _cut_ascent,
     _paste_ascent,
+    _slot_at,
     _slot_text,
     ddp_to_plain,
     plain_to_ddp,
@@ -126,26 +124,24 @@ def _onto_mismatch(n: int, images: set, target: set) -> dict | None:
     return {"n": n, "missing": sorted(target - images)[:3], "extra": sorted(images - target)[:3]}
 
 
-# built here from the constructor, not taken from the kernels, so that the onto
-# comparison in L5-bijection stays independent of them; one object per (kind, index)
-@lru_cache(maxsize=None)
-def _slot(kind: SlotKind, index: int | None = None) -> SlotRef:
-    return SlotRef(kind, index)
+# stated here with its own letters, not taken from the kernels, so that the onto
+# comparison in L5-bijection stays independent of them: the start, then after each D or R
+def _offsets_of(word: str) -> list[int]:
+    return [0] + [i + 1 for i, ch in enumerate(word) if ch == "D" or ch == "R"]
 
 
-def _slots_of(word: str) -> list[SlotRef]:
-    slots = [_slot(SlotKind.START)]
-    for i, ch in enumerate(word):
-        if ch == "D":
-            slots.append(_slot(SlotKind.DOWN_STEP, i))
-        elif ch == "R":
-            slots.append(_slot(SlotKind.RIGHT_STEP, i))
-    return slots
+def _offset_text(word: str, at: int) -> str:
+    """Offset ``at`` of ``word`` in the CLI's ``--slot`` syntax, or ``offset K`` if no slot."""
+    try:
+        slot = _slot_at(word, at)
+    except (LookupError, ValueError):  # after a U, past the end, or negative
+        return f"offset {at}"
+    return _slot_text(slot)
 
 
-def _pair_texts(pairs: set[tuple[str, SlotRef]]) -> set[tuple[str, str]]:
-    """Each (word, slot) with the slot in the CLI's ``--slot`` syntax."""
-    return {(w, _slot_text(s)) for w, s in pairs}
+def _pair_texts(pairs: set[tuple[str, int]]) -> set[tuple[str, str]]:
+    """Each (word, offset) with the offset rendered by :func:`_offset_text`."""
+    return {(w, _offset_text(w, at)) for w, at in pairs}
 
 
 def _check_l1_count(max_n: int) -> dict | None:
@@ -295,7 +291,7 @@ def _check_l5_bijection(max_n: int) -> dict | None:
     # The kernels skip the public maps' DDP scan: every input word is enumerated, and
     # the onto comparison proves each image a length-(m-2) DDP with a real slot.
     for m in range(2, max_n + 1):
-        seen: set[tuple[str, SlotRef]] = set()
+        seen: set[tuple[str, int]] = set()
         for w in _ddp_words(m):
             for match in _ONE_ASCENT.finditer(w):
                 pos = match.start()
@@ -307,7 +303,7 @@ def _check_l5_bijection(max_n: int) -> dict | None:
                 back = _paste_ascent(*key)
                 if back != w:
                     return {"n": m, "path": w, "pos": pos, "roundtrip": back}
-        expected = {(w, s) for w in _ddp_words(m - 2) for s in _slots_of(w)}
+        expected = {(w, at) for w in _ddp_words(m - 2) for at in _offsets_of(w)}
         if seen != expected:
             return _onto_mismatch(m, _pair_texts(seen), _pair_texts(expected))
     return None

@@ -4,6 +4,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ddpaths import (
     PathWord,
@@ -13,6 +15,7 @@ from ddpaths import (
     ascent_remove,
     catalan,
     ddp_to_plain,
+    is_dispersed_dyck,
     one_ascent_positions,
     parse_path,
     plain_to_ddp,
@@ -27,6 +30,7 @@ from ddpaths.bijections import (
     _cut_ascent,
     _parse_slot,
     _paste_ascent,
+    _slot_at,
     _slot_text,
 )
 from ddpaths.enumeration import _ddp_words, _plain_words
@@ -221,6 +225,9 @@ class TestAscentPairing:
             ascent_insert(parse_path("UDR"), SlotRef(SlotKind.RIGHT_STEP, 1))  # a down step
         with pytest.raises(ValueError, match="does not reference"):
             ascent_insert(parse_path("UD"), SlotRef(SlotKind.RIGHT_STEP, 5))
+        message = "^slot down:0 does not reference a 'D' step of 'UD'$"
+        with pytest.raises(ValueError, match=message):
+            ascent_insert("UD", SlotRef(SlotKind.DOWN_STEP, 0))
 
     def test_slotref_validation(self):
         with pytest.raises(ValueError, match="no step index"):
@@ -256,34 +263,37 @@ class TestAscentPairing:
 
 
 def _fresh_slots(word):
-    yield SlotRef(SlotKind.START)
+    """Each slot of ``word`` built from the constructor, with its insertion offset."""
+    yield 0, SlotRef(SlotKind.START)
     for i, ch in enumerate(word):
         if ch == "D":
-            yield SlotRef(SlotKind.DOWN_STEP, i)
+            yield i + 1, SlotRef(SlotKind.DOWN_STEP, i)
         elif ch == "R":
-            yield SlotRef(SlotKind.RIGHT_STEP, i)
+            yield i + 1, SlotRef(SlotKind.RIGHT_STEP, i)
 
 
 class TestAscentKernels:
-    """The raw-word kernels behind ascent_remove / ascent_insert and their interned slots."""
+    """The raw-word kernels behind ascent_remove / ascent_insert, which trade in offsets."""
 
     @pytest.mark.parametrize("n", range(13))
     def test_public_maps_wrap_the_kernels(self, n):
         for w in _ddp_words(n):
             for pos in one_ascent_positions(w):
-                shortened, slot = _cut_ascent(w, pos)
+                shortened, at = _cut_ascent(w, pos)
+                assert (shortened, at) == (w[:pos] + w[pos + 2 :], pos)
+                slot = _slot_at(shortened, at)
                 assert ascent_remove(w, pos) == (PathWord(shortened), slot)
-                fresh = SlotRef(slot.kind, slot.index)  # the interned slot, START included
+                fresh = SlotRef(slot.kind, slot.index)
                 assert slot == fresh
                 assert hash(slot) == hash(fresh)
-            for slot in _fresh_slots(w):
-                assert ascent_insert(w, slot) == PathWord(_paste_ascent(w, slot))
+            for at, slot in _fresh_slots(w):
+                assert _slot_at(w, at) == slot
+                assert ascent_insert(w, slot) == PathWord(_paste_ascent(w, at))
 
-    def test_one_slot_object_per_kind_and_index(self):
-        assert _cut_ascent("UD", 0)[1] is START
-        assert _cut_ascent("RUD", 1)[1] is _cut_ascent("RUDUD", 1)[1]
-        assert _cut_ascent("UDUD", 2)[1] is _cut_ascent("UDUDR", 2)[1]
-        assert _cut_ascent("RUD", 1)[1] != _cut_ascent("UDUD", 2)[1]
+    @pytest.mark.parametrize("word,at", [("UD", 1), ("UD", 3), ("R", -1)])
+    def test_an_offset_that_names_no_slot_raises(self, word, at):
+        with pytest.raises((LookupError, ValueError)):
+            _slot_at(word, at)
 
     # True == 1, so a bool index would pass for step 1 (ascent_insert("UD", it) -> UDUD)
     @pytest.mark.parametrize(
@@ -299,6 +309,35 @@ class TestAscentKernels:
     def test_slotref_rejects_non_int_index(self, kind, index):
         with pytest.raises(ValueError, match=f"a slot index must be an int, got {index!r}"):
             SlotRef(kind, index)
+
+
+@st.composite
+def _long_ddp_words(draw):
+    """A DDP word of up to 300 steps: free moves, then down steps back to the axis."""
+    word, height = [], 0
+    for rise in draw(st.lists(st.booleans(), max_size=150)):
+        if rise:
+            word.append("U")
+            height += 1
+        elif height:
+            word.append("D")
+            height -= 1
+        else:
+            word.append("R")
+    return "".join(word) + "D" * height
+
+
+class TestLongWords:
+    """The ascent maps beyond the exhaustive range, on random words of up to 300 steps."""
+
+    @given(_long_ddp_words())
+    def test_every_one_ascent_round_trips(self, w):
+        assert is_dispersed_dyck(w)
+        for pos in one_ascent_positions(w):
+            shortened, slot = ascent_remove(w, pos)
+            assert ascent_insert(shortened, slot).word == w
+            assert _paste_ascent(*_cut_ascent(w, pos)) == w
+            assert _parse_slot(_slot_text(slot)) == slot
 
 
 class TestSlotSyntax:

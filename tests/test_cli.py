@@ -339,6 +339,12 @@ class TestBijection:
         assert out == ""
         assert f"error: {message}" in err
 
+    def test_slot_off_its_step(self, capsys):
+        code, out, err = run_cli(capsys, "bijection", "ascent-insert", "UD", "--slot", "right:0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: slot right:0 does not reference an 'R' step of 'UD'\n"
+
     def test_bad_slot_spec(self, capsys):
         for spec, message in [
             ("middle:1", "unknown slot kind 'middle:1'"),

@@ -30,7 +30,7 @@ from ddpaths import (
     verify_all,
     verify_lemma,
 )
-from ddpaths.bijections import START, _cut_ascent, _paste_ascent
+from ddpaths.bijections import _cut_ascent, _paste_ascent
 from ddpaths.formulas import _FACTOR_FROM, _closed_rows, _factored_central_binomial
 
 
@@ -387,7 +387,7 @@ class TestFaultInjection:
 
     def test_l5_bijection(self, monkeypatch):
         monkeypatch.setattr(
-            ddpaths.verify, "_paste_ascent", lambda word, slot: "R" * (len(word) + 2)
+            ddpaths.verify, "_paste_ascent", lambda word, at: "R" * (len(word) + 2)
         )
         pos = one_ascent_positions("UD")[0]
         assert verify_lemma("L5-bijection", 10) == _failed(
@@ -409,12 +409,12 @@ class TestFaultInjection:
         )
 
     def test_l5_bijection_onto(self, monkeypatch):
-        # UD@0 <-> (Z, Start) round-trips, but Z is no DDP and ("", Start) has no preimage
+        # UD@0 <-> (Z, 0) round-trips, but Z is no DDP and ("", 0) has no preimage
         def cut(word, pos):
-            return ("Z", START) if word == "UD" else _cut_ascent(word, pos)
+            return ("Z", 0) if word == "UD" else _cut_ascent(word, pos)
 
-        def paste(word, slot):
-            return "UD" if word == "Z" else _paste_ascent(word, slot)
+        def paste(word, at):
+            return "UD" if word == "Z" else _paste_ascent(word, at)
 
         monkeypatch.setattr(ddpaths.verify, "_cut_ascent", cut)
         monkeypatch.setattr(ddpaths.verify, "_paste_ascent", paste)
@@ -422,6 +422,24 @@ class TestFaultInjection:
             "L5-bijection",
             L5_BIJECTION_RANGE.format(10),
             {"n": 2, "missing": [("", "start")], "extra": [("Z", "start")]},
+        )
+
+    # UDUD@2 <-> (UD, stray) round-trips, but the offset after a U or past the end of UD
+    # names no slot, and (UD, down:1) has no preimage
+    @pytest.mark.parametrize("stray", [1, 5])
+    def test_l5_bijection_stray_offset(self, monkeypatch, stray):
+        def cut(word, pos):
+            return ("UD", stray) if (word, pos) == ("UDUD", 2) else _cut_ascent(word, pos)
+
+        def paste(word, at):
+            return "UDUD" if (word, at) == ("UD", stray) else _paste_ascent(word, at)
+
+        monkeypatch.setattr(ddpaths.verify, "_cut_ascent", cut)
+        monkeypatch.setattr(ddpaths.verify, "_paste_ascent", paste)
+        assert verify_lemma("L5-bijection", 10) == _failed(
+            "L5-bijection",
+            L5_BIJECTION_RANGE.format(10),
+            {"n": 4, "missing": [("UD", "down:1")], "extra": [("UD", f"offset {stray}")]},
         )
 
     def test_l5_count_brute(self, monkeypatch):
