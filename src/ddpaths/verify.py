@@ -30,6 +30,8 @@ from .bijections import (
     _paste_ascent,
     _slot_at,
     _slot_text,
+    ascent_insert,
+    ascent_remove,
     ddp_to_plain,
     plain_to_ddp,
     r_pair_decomposition,
@@ -128,6 +130,25 @@ def _onto_mismatch(n: int, images: set, target: set) -> dict | None:
 # comparison in L5-bijection stays independent of them: the start, then after each D or R
 def _offsets_of(word: str) -> list[int]:
     return [0] + [i + 1 for i, ch in enumerate(word) if ch == "D" or ch == "R"]
+
+
+# the --slot name of a slot after each step letter, stated here for the same reason
+_NAME_AFTER = {"D": "down", "R": "right"}
+
+
+def _masks_onto(n: int, masks: dict[str, int]) -> bool:
+    """Whether ``masks`` holds, for each DDP of length ``n``, exactly its offsets' mask."""
+    count = 0
+    for w in _ddp_words(n):
+        if masks.get(w) != sum(1 << at for at in _offsets_of(w)):
+            return False
+        count += 1
+    return count == len(masks)
+
+
+def _mask_pairs(masks: dict[str, int]) -> set[tuple[str, int]]:
+    """Each (word, bit) pair set in ``masks``."""
+    return {(w, b) for w, mask in masks.items() for b in range(mask.bit_length()) if mask >> b & 1}
 
 
 def _offset_text(word: str, at: int) -> str:
@@ -291,21 +312,60 @@ def _check_l5_bijection(max_n: int) -> dict | None:
     # The kernels skip the public maps' DDP scan: every input word is enumerated, and
     # the onto comparison proves each image a length-(m-2) DDP with a real slot.
     for m in range(2, max_n + 1):
-        seen: set[tuple[str, int]] = set()
+        # image word -> bit mask of the offsets it was cut at, bit ``at`` for offset at:
+        # one int per image word rather than one (word, offset) pair per image.  A
+        # negative offset has no such bit; it names no slot and is kept apart at bit ~at.
+        seen: dict[str, int] = {}
+        below: dict[str, int] = {}
         for w in _ddp_words(m):
             for match in _ONE_ASCENT.finditer(w):
                 pos = match.start()
-                key = _cut_ascent(w, pos)
-                if key in seen:
+                word, at = _cut_ascent(w, pos)
+                masks = seen
+                try:
+                    bit = 1 << at
+                except ValueError:  # at < 0
+                    masks, bit = below, 1 << ~at
+                mask = masks.get(word, 0)
+                if mask & bit:
                     detail = "duplicate (path, slot) image"
                     return {"n": m, "path": w, "pos": pos, "detail": detail}
-                seen.add(key)
-                back = _paste_ascent(*key)
+                masks[word] = mask | bit
+                back = _paste_ascent(word, at)
                 if back != w:
                     return {"n": m, "path": w, "pos": pos, "roundtrip": back}
-        expected = {(w, at) for w in _ddp_words(m - 2) for at in _offsets_of(w)}
-        if seen != expected:
-            return _onto_mismatch(m, _pair_texts(seen), _pair_texts(expected))
+        if not _masks_onto(m - 2, seen) or below:
+            images = _mask_pairs(seen) | {(w, ~b) for w, b in _mask_pairs(below)}
+            expected = {(w, at) for w in _ddp_words(m - 2) for at in _offsets_of(w)}
+            return _onto_mismatch(m, _pair_texts(images), _pair_texts(expected))
+        mismatch = _public_edge_mismatch(m)
+        if mismatch:
+            return mismatch
+    return None
+
+
+def _public_edge_mismatch(m: int) -> dict | None:
+    """The first 1-ascent of length ``m`` after a D and the first after an R, through the
+    public maps: each must round-trip, and its slot must read as verify renders it."""
+    pending = set(_NAME_AFTER)
+    for w in _ddp_words(m):
+        for match in _ONE_ASCENT.finditer(w):
+            pos = match.start()
+            if not pos or w[pos - 1] not in pending:
+                continue
+            pending.remove(w[pos - 1])
+            try:
+                shortened, slot = ascent_remove(w, pos)
+                back = ascent_insert(shortened, slot).word
+            except ValueError as exc:
+                return {"n": m, "path": w, "pos": pos, "error": str(exc)}
+            if back != w:
+                return {"n": m, "path": w, "pos": pos, "roundtrip": back}
+            text, expected = _slot_text(slot), f"{_NAME_AFTER[w[pos - 1]]}:{pos - 1}"
+            if text != expected:
+                return {"n": m, "path": w, "pos": pos, "slot": text, "expected": expected}
+            if not pending:
+                return None
     return None
 
 

@@ -3,15 +3,18 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
+import ddpaths.bijections
 import ddpaths.verify
 from ddpaths import (
     CHECK_IDS,
     CheckResult,
     PathWord,
+    SlotKind,
     a_closed,
     asymptotic_ratio,
     catalan,
@@ -177,6 +180,17 @@ def test_l5_bijection_visits_every_one_ascent(monkeypatch):
     monkeypatch.setattr(ddpaths.verify, "_cut_ascent", counting)
     assert verify_lemma("L5-bijection", 10).passed
     assert len(calls) == sum(totals_brute(m).one_ascents for m in range(2, 11))
+
+
+def test_l5_bijection_memory():
+    # one offset mask per image word: the (word, offset) pairs of n = 14 traced 2.8 MiB
+    tracemalloc.start()
+    try:
+        assert ddpaths.verify._check_l5_bijection(14) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestFaultInjection:
@@ -424,9 +438,9 @@ class TestFaultInjection:
             {"n": 2, "missing": [("", "start")], "extra": [("Z", "start")]},
         )
 
-    # UDUD@2 <-> (UD, stray) round-trips, but the offset after a U or past the end of UD
-    # names no slot, and (UD, down:1) has no preimage
-    @pytest.mark.parametrize("stray", [1, 5])
+    # UDUD@2 <-> (UD, stray) round-trips, but the offset after a U, past the end of UD or
+    # below 0 names no slot, and (UD, down:1) has no preimage
+    @pytest.mark.parametrize("stray", [-1, 1, 5])
     def test_l5_bijection_stray_offset(self, monkeypatch, stray):
         def cut(word, pos):
             return ("UD", stray) if (word, pos) == ("UDUD", 2) else _cut_ascent(word, pos)
@@ -440,6 +454,29 @@ class TestFaultInjection:
             "L5-bijection",
             L5_BIJECTION_RANGE.format(10),
             {"n": 4, "missing": [("UD", "down:1")], "extra": [("UD", f"offset {stray}")]},
+        )
+
+    # a source copy with the slot letters swapped also swaps the table derived from them;
+    # then the public maps still round-trip, but name the step before RUD's 1-ascent a
+    # down step.  With only the letters swapped, ascent_insert refuses the slot that
+    # ascent_remove handed out.
+    @pytest.mark.parametrize(
+        "derived_too, detail",
+        [
+            (True, {"slot": "down:0", "expected": "right:0"}),
+            (False, {"error": "slot right:0 does not reference a 'D' step of 'R'"}),
+        ],
+    )
+    def test_l5_bijection_swapped_slot_letters(self, monkeypatch, derived_too, detail):
+        letters = {SlotKind.DOWN_STEP: "R", SlotKind.RIGHT_STEP: "D"}
+        monkeypatch.setattr(ddpaths.bijections, "_SLOT_LETTERS", letters)
+        if derived_too:
+            kind_after = {letter: kind for kind, letter in letters.items()}
+            monkeypatch.setattr(ddpaths.bijections, "_KIND_AFTER", kind_after)
+        assert verify_lemma("L5-bijection", 10) == _failed(
+            "L5-bijection",
+            L5_BIJECTION_RANGE.format(10),
+            {"n": 3, "path": "RUD", "pos": 1, **detail},
         )
 
     def test_l5_count_brute(self, monkeypatch):
