@@ -8,8 +8,9 @@ verified.
 Two walks share one move rule.  ``_ddp_words`` streams the words,
 lexicographic under ``U < D < R`` so that streams are deterministic and
 golden-testable; it walks an explicit stack, so it streams at any length.
-``_fold`` recurses over the same tree without building words and aggregates
-the step totals and the k-ascent histogram; every brute-force count reads its
+``_walk`` covers the same tree without building words: one walk to length n
+aggregates the step totals and the k-ascent histogram of every length 0..n,
+joining prefixes to suffixes at half depth.  Every brute-force count reads its
 cache, the package's only one.  A cap (default 26, about 10.4 million words)
 guards against accidental enumeration blowups; every entry point that
 enumerates takes the cap as an argument.
@@ -17,8 +18,9 @@ enumerates takes the cap as an argument.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from operator import add
 from typing import Iterator
@@ -125,48 +127,110 @@ def _ddp_words(n: int, flat: bool = True) -> Iterator[str]:
             stack.append((word + "U", height + 1))
 
 
-# cached on (n, k): the verify checks ask for the same lengths again (at --deep,
-# 201 totals requests for 23 lengths), and the totals, the 1-ascent histogram and
-# k_ascent_total(n, 1) share the k = 1 walk
-@lru_cache(maxsize=None)
-def _fold(n: int, k: int) -> tuple[int, int, int, int, tuple[int, ...]]:
-    """Aggregate over every DDP of length n, walking the tree of ``_ddp_words``.
+_Row = tuple[int, int, int, int, tuple[int, ...]]
 
-    Returns ``(dyck, ups, downs, rights, hist)``: the R-free path count, the
-    U/D/R step totals, and ``hist[t]``, the number of paths with exactly ``t``
-    maximal up-runs of length ``k``.  Each leaf adds to one bucket, so
-    ``sum(hist)`` is the number of paths.
+
+# by k, the rows of the longest walk so far: a walk to n answers every later request
+# for a length m <= n, so a deep verify run, which asks for 23 lengths 202 times, walks
+# once; the totals, the 1-ascent histogram and k_ascent_total(n, 1) share the k = 1 rows
+_ROWS: dict[int, list[_Row]] = {}
+
+
+def _row(n: int, k: int) -> _Row:
+    rows = _ROWS.get(k)
+    if rows is None or len(rows) <= n:
+        rows = _ROWS[k] = _walk(n, k)
+    return rows[n]
+
+
+def _walk(n: int, k: int) -> list[_Row]:
+    """Aggregate over every DDP of each length 0..n, walking the tree of ``_ddp_words`` once.
+
+    Row m is ``(dyck, ups, downs, rights, hist)``: the R-free path count, the
+    U/D/R step totals, and ``hist[t]``, the number of length-m paths with
+    exactly ``t`` maximal up-runs of length ``k``.
+
+    The walk is joined at half depth.  A path of length m <= n // 2 is a
+    height-0 node of the prefix walk, which stops at depth n // 2.  A longer
+    path is a node at that depth followed by a non-empty suffix of at most
+    n - n // 2 steps that ends at height 0.  A node's suffixes depend only on
+    its height and its trailing up-run (capped at k + 1, as a run can span the
+    split), so each suffix list is walked once and joined to every node it
+    follows.  A path's statistics pack into one integer key, base n + 1, whose
+    fields add along the path, so a prefix key plus a suffix key is the path's
+    key.  Each path adds exactly one increment to the tally of its key, and
+    the tally is decoded into rows at the end.
     """
-    totals = [0, 0, 0, 0]
-    hist = [0] * (n // 2 + 1)
-
-    def rec(
-        remaining: int, height: int, ups: int, downs: int, rights: int, runs: int, run: int
-    ) -> None:
-        if not remaining:
-            totals[0] += not rights  # an R-free DDP is a Dyck path
-            totals[1] += ups
-            totals[2] += downs
-            totals[3] += rights
-            hist[runs + (run == k)] += 1
-            return
-        remaining -= 1
-        if height < remaining:  # room to rise and still return to 0
-            rec(remaining, height + 1, ups + 1, downs, rights, runs, run + 1)
-        if run == k:  # a D or R step closes the up-run
-            runs += 1
-        if height:
-            rec(remaining, height - 1, ups, downs + 1, rights, runs, 0)
-        else:
-            rec(remaining, 0, ups, downs, rights + 1, runs, 0)
-
-    try:
-        rec(n, 0, 0, 0, 0, 0, 0)
-    except RecursionError:
+    # the walk recurses once per step, as each suffix list is walked from within the
+    # prefix walk; the other half of the recursion limit is left to the caller's frames
+    limit = sys.getrecursionlimit() // 2
+    if n > limit:
         raise ValueError(
-            f"length {n} is too long for the brute-force walk, which recurses once per step"
-        ) from None
-    return (*totals, tuple(hist))
+            f"length {n} is too long for the brute-force walk, which recurses once per step; "
+            f"lengths over half the interpreter's recursion limit ({limit}) are refused"
+        )
+    # a key is ups + downs * down + rights * right + runs * closed, each field below n + 1
+    down, right, closed = n + 1, (n + 1) ** 2, (n + 1) ** 3
+    half, rest = n // 2, n - n // 2
+    top = k + 1  # every up-run longer than k acts alike
+    tally: Counter[int] = Counter()
+    tails: dict[tuple[int, int], list[int]] = {}
+
+    def suffixes(height: int, run: int) -> list[int]:
+        keys = []
+
+        def suffix(budget: int, height: int, run: int, key: int) -> None:
+            budget -= 1
+            if height < budget:  # room to rise and still return to 0
+                suffix(budget, height + 1, run + (run < top), key + 1)
+            if run == k:  # a D or R step closes the up-run
+                key += closed
+            if height:
+                height -= 1
+                key += down
+            else:
+                key += right
+            if not height:
+                keys.append(key)
+            if budget:
+                suffix(budget, height, 0, key)
+
+        if rest:
+            suffix(rest, height, run, 0)
+        return keys
+
+    def prefix(depth: int, height: int, run: int, key: int) -> None:
+        if not height:
+            tally[key] += 1
+        if depth == half:
+            tail = tails.get((height, run))
+            if tail is None:
+                tail = tails[height, run] = suffixes(height, run)
+            tally.update(map(key.__add__, tail))
+            return
+        depth += 1
+        if height < n - depth:  # room to rise and still return to 0
+            prefix(depth, height + 1, run + (run < top), key + 1)
+        if run == k:
+            key += closed
+        if height:
+            prefix(depth, height - 1, 0, key + down)
+        else:
+            prefix(depth, 0, 0, key + right)
+
+    prefix(0, 0, 0, 0)
+    rows = [[0, 0, 0, 0, [0] * (m // 2 + 1)] for m in range(n + 1)]
+    for key, count in tally.items():
+        runs, key = divmod(key, closed)
+        rights, key = divmod(key, right)
+        downs, ups = divmod(key, down)
+        row = rows[ups + downs + rights]
+        row[0] += count * (not rights)  # an R-free DDP is a Dyck path
+        row[1] += ups * count
+        row[2] += downs * count
+        row[3] += rights * count
+        row[4][runs] += count
+    return [(dyck, ups, downs, rights, tuple(hist)) for dyck, ups, downs, rights, hist in rows]
 
 
 def _plain_words(n: int) -> Iterator[str]:
@@ -222,7 +286,7 @@ def count_ddp_dp(n: int) -> int:
 def totals_brute(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> CountRow:
     """Aggregate exact totals over the full enumeration of length ``n``."""
     _require_enumerable(n, cap)
-    dyck, ups, downs, rights, hist = _fold(n, 1)
+    dyck, ups, downs, rights, hist = _row(n, 1)
     ones = sum(t * c for t, c in enumerate(hist))
     return CountRow(
         n=n, ddp=sum(hist), dyck=dyck, ups=ups, downs=downs, rights=rights, one_ascents=ones
@@ -232,7 +296,7 @@ def totals_brute(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> CountRow:
 def one_ascent_distribution(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> DistributionTable:
     """Histogram of the per-path 1-ascent count over all DDPs of length ``n``."""
     _require_enumerable(n, cap)
-    hist = _fold(n, 1)[-1]
+    hist = _row(n, 1)[-1]
     return DistributionTable(n=n, row={t: c for t, c in enumerate(hist) if c})
 
 
@@ -241,4 +305,4 @@ def k_ascent_total(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     if k < 1:
         raise ValueError(f"ascent length k must be >= 1, got {k}")
     _require_enumerable(n, cap)
-    return sum(t * c for t, c in enumerate(_fold(n, k)[-1]))
+    return sum(t * c for t, c in enumerate(_row(n, k)[-1]))

@@ -166,6 +166,7 @@ def _pair_texts(pairs: set[tuple[str, int]]) -> set[tuple[str, str]]:
 
 
 def _check_l1_count(max_n: int) -> dict | None:
+    totals_brute(max_n)  # asked first, the top length's walk leaves every shorter row cached
     for n in range(max_n + 1):
         enumerated = totals_brute(n).ddp
         dp = count_ddp_dp(n)

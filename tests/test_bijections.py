@@ -362,8 +362,8 @@ class TestPairDecomposition:
         assert r_pair_decomposition(4) == 10
 
     def test_matches_brute_force(self):
-        # n = 24 folds 2.7 million paths; rows are cached, so the recursion test
-        # below refolds only the odd lengths
+        # n = 24 walks 2.7 million paths; that walk leaves every row up to 24 cached,
+        # so the recursion test below, odd lengths included, walks nothing new
         for n in range(2, 25, 2):
             assert r_pair_decomposition(n) == totals_brute(n).rights
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,8 @@ from ddpaths import (
     one_ascent_distribution,
     totals_brute,
 )
-from ddpaths.enumeration import CSV_HEADER, _ddp_words, _fold
+from ddpaths import enumeration, verify_all
+from ddpaths.enumeration import CSV_HEADER, _ddp_words, _walk
 
 from conftest import (
     lex_key,
@@ -30,6 +32,41 @@ from conftest import (
 
 def words(gen):
     return [p.word for p in gen]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The ``(n, k)`` of each brute-force walk started while the test runs, from a cold cache."""
+    started = []
+    walk = enumeration._walk
+
+    def counting(n, k):
+        started.append((n, k))
+        return walk(n, k)
+
+    monkeypatch.setattr(enumeration, "_walk", counting)
+    monkeypatch.setattr(enumeration, "_ROWS", {})
+    return started
+
+
+def oracle_rows(n, k):
+    """Rows ``(dyck, ups, downs, rights, hist)`` of lengths 0..n, scanning every word."""
+    rows = []
+    for m in range(n + 1):
+        paths = list(_ddp_words(m))
+        hist = [0] * (m // 2 + 1)
+        for w in paths:
+            hist[oracle_k_ascents(w, k)] += 1
+        rows.append(
+            (
+                sum("R" not in w for w in paths),
+                sum(w.count("U") for w in paths),
+                sum(w.count("D") for w in paths),
+                sum(w.count("R") for w in paths),
+                tuple(hist),
+            )
+        )
+    return rows
 
 
 class TestGenerators:
@@ -199,17 +236,26 @@ class TestTotals:
         # the CSV header names the JSON keys, column by column
         assert CSV_HEADER.split(",") == list(rows[0].to_json_dict())
 
-    # the fold recurses once per step, so a raised cap meets the interpreter's recursion limit
+    # the walk recurses once per step, so a raised cap meets the interpreter's recursion limit
     def test_walk_beyond_the_recursion_limit_is_refused(self):
         with pytest.raises(ValueError, match="^length 1200 is too long for the brute-force walk"):
             totals_brute(1200, cap=1200)
 
-    def test_one_cached_walk_per_length(self):
+    def test_one_cached_walk_per_length(self, walks):
         totals_brute(16)
-        misses = _fold.cache_info().misses
-        one_ascent_distribution(16)
-        k_ascent_total(16, 1)
-        assert _fold.cache_info().misses == misses
+        assert walks == [(16, 1)]
+        for m in range(17):
+            totals_brute(m)
+            one_ascent_distribution(m)
+            k_ascent_total(m, 1)
+        assert walks == [(16, 1)]
+        k_ascent_total(16, 2)
+        assert walks == [(16, 1), (16, 2)]
+
+    def test_a_deep_verify_run_walks_once(self, walks):
+        ids = ["L1-count", "L2-recursion", "L3-recursion", "L5-count", "THM1", "EQSTAR"]
+        assert verify_all(ids=ids, deep=True).overall
+        assert [w for w in walks if w[1] == 1] == [(22, 1)]
 
     def test_row_is_frozen(self):
         row = totals_brute(2)
@@ -274,3 +320,40 @@ class TestKAscentTotal:
     def test_bad_k(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             k_ascent_total(4, 0)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_against_the_word_scan(self, k):
+        expected = oracle_rows(16, k)
+        for n in range(17):
+            assert _walk(n, k) == expected[: n + 1], n
+
+    # the split sits at n // 2, so walks of both parities must agree on every shared row
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_do_not_depend_on_the_walk_length(self, k):
+        rows = [_walk(n, k) for n in range(17)]
+        for n in range(17):
+            for m in range(n + 1):
+                assert rows[n][m] == rows[m][m], (n, m)
+
+    def test_one_increment_per_path(self):
+        counts = [sum(hist) for *_, hist in _walk(18, 1)]
+        assert counts == [sum(1 for _ in _ddp_words(m)) for m in range(19)]
+
+    def test_shortest_walks(self):
+        empty = (1, 0, 0, 0, (1,))
+        assert _walk(0, 1) == [empty]
+        assert _walk(1, 1) == [empty, (0, 0, 0, 1, (1,))]
+        # RR has no up-run, UD one 1-ascent
+        assert _walk(2, 1) == [empty, (0, 0, 0, 1, (1,)), (1, 1, 1, 2, (1, 1))]
+        assert _walk(2, 2)[2] == (1, 1, 1, 2, (2, 0))
+
+    def test_memory(self):
+        tracemalloc.start()
+        try:
+            _walk(22, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
