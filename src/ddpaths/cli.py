@@ -31,6 +31,7 @@ from .bijections import (
 from .enumeration import (
     CSV_HEADER,
     DEFAULT_ENUMERATION_CAP,
+    _require_ascent_length,
     _require_enumerable,
     count_ddp_dp,
     enumerate_ddp,
@@ -95,6 +96,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.stat == "k-ascents":
         if args.k is None:
             raise ValueError("-k is required for stat k-ascents")
+        _require_ascent_length(args.k)  # a bad k is named first, whatever the method
         if method != "brute":
             if args.k > 1:
                 raise ValueError(
@@ -142,6 +144,7 @@ def _cmd_totals(args: argparse.Namespace) -> int:
         raise ValueError(f"largest length must be non-negative, got {args.n}")
     if args.method == "brute":
         _require_enumerable(args.n, args.cap)  # refuse a length over the cap before any row
+        totals_brute(args.n, cap=args.cap)  # asked first, the top length's walk caches every row
         rows = (totals_brute(n, cap=args.cap) for n in range(args.n + 1))
     else:
         rows = islice(_closed_rows(central_binomials()), args.n + 1)

@@ -9,9 +9,10 @@ Two walks share one move rule.  ``_ddp_words`` streams the words,
 lexicographic under ``U < D < R`` so that streams are deterministic and
 golden-testable; it walks an explicit stack, so it streams at any length.
 ``_walk`` covers the same tree without building words: one walk to length n
-aggregates the step totals and the k-ascent histogram of every length 0..n,
-joining prefixes to suffixes at half depth.  Every brute-force count reads its
-cache, the package's only one.  A cap (default 26, about 10.4 million words)
+aggregates the step totals and the k-ascent histogram of every length 0..n.
+One recursive descent walks both halves, the prefixes to depth n // 2 and the
+suffixes from there, and a flat loop joins them.  Every brute-force count reads
+its cache, the package's only one.  A cap (default 26, about 10.4 million words)
 guards against accidental enumeration blowups; every entry point that
 enumerates takes the cap as an argument.
 """
@@ -19,7 +20,7 @@ enumerates takes the cap as an argument.
 from __future__ import annotations
 
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
@@ -42,7 +43,9 @@ __all__ = [
 
 DEFAULT_ENUMERATION_CAP = 26
 
-CSV_HEADER = "n,dD,dyck,U,D,R,A"
+# CountRow's fields in order (its __slots__), by the names its JSON keys and CSV columns print
+_COLUMNS = ("n", "dD", "dyck", "U", "D", "R", "A")
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,21 +66,10 @@ class CountRow:
     one_ascents: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "dD": self.ddp,
-            "dyck": self.dyck,
-            "U": self.ups,
-            "D": self.downs,
-            "R": self.rights,
-            "A": self.one_ascents,
-        }
+        return {name: getattr(self, field) for name, field in zip(_COLUMNS, self.__slots__)}
 
     def to_csv(self) -> str:
-        return (
-            f"{self.n},{self.ddp},{self.dyck},{self.ups},"
-            f"{self.downs},{self.rights},{self.one_ascents}"
-        )
+        return ",".join(str(getattr(self, field)) for field in self.__slots__)
 
 
 @dataclass(frozen=True)
@@ -103,6 +95,11 @@ def _require_enumerable(n: int, cap: int) -> None:
             f"length {n} exceeds the enumeration cap of {cap}; "
             "pass a larger cap to override"
         )
+
+
+def _require_ascent_length(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"ascent length k must be >= 1, got {k}")
 
 
 def _ddp_words(n: int, flat: bool = True) -> Iterator[str]:
@@ -150,19 +147,24 @@ def _walk(n: int, k: int) -> list[_Row]:
     U/D/R step totals, and ``hist[t]``, the number of length-m paths with
     exactly ``t`` maximal up-runs of length ``k``.
 
-    The walk is joined at half depth.  A path of length m <= n // 2 is a
-    height-0 node of the prefix walk, which stops at depth n // 2.  A longer
-    path is a node at that depth followed by a non-empty suffix of at most
-    n - n // 2 steps that ends at height 0.  A node's suffixes depend only on
-    its height and its trailing up-run (capped at k + 1, as a run can span the
-    split), so each suffix list is walked once and joined to every node it
-    follows.  A path's statistics pack into one integer key, base n + 1, whose
-    fields add along the path, so a prefix key plus a suffix key is the path's
-    key.  Each path adds exactly one increment to the tally of its key, and
-    the tally is decoded into rows at the end.
+    The walk is joined at half depth.  A descent walks every step sequence
+    from a node down to a stop depth; it lists the key of each height-0 node
+    it reaches, and files the key of each node it reaches at the stop depth
+    under that node's height and trailing up-run.  The prefix is the descent
+    from the root to depth n // 2, so a path of length m <= n // 2 is the
+    root or a height-0 node of the prefix.  A longer path is a prefix node at
+    that depth followed by a non-empty suffix that ends at height 0.  A node's
+    suffixes depend only on its height and its trailing up-run (capped at
+    k + 1, as a run can span the split), so for each (height, run) filed the
+    descent to depth n runs once and its list is joined to every key filed
+    there.  A path's statistics pack into one integer key, base n + 1, whose fields add
+    along the path, so a prefix key plus a suffix key is the path's key.  Each
+    path adds exactly one increment to the tally of its key, and the tally is
+    decoded into rows at the end.
     """
-    # the walk recurses once per step, as each suffix list is walked from within the
-    # prefix walk; the other half of the recursion limit is left to the caller's frames
+    # the prefix and each suffix descent recurse once per step, n // 2 or n - n // 2
+    # frames deep and never nested; refusing lengths over half the recursion limit
+    # leaves most of it to the caller's frames
     limit = sys.getrecursionlimit() // 2
     if n > limit:
         raise ValueError(
@@ -171,54 +173,39 @@ def _walk(n: int, k: int) -> list[_Row]:
         )
     # a key is ups + downs * down + rights * right + runs * closed, each field below n + 1
     down, right, closed = n + 1, (n + 1) ** 2, (n + 1) ** 3
-    half, rest = n // 2, n - n // 2
+    half = n // 2
     top = k + 1  # every up-run longer than k acts alike
-    tally: Counter[int] = Counter()
-    tails: dict[tuple[int, int], list[int]] = {}
 
-    def suffixes(height: int, run: int) -> list[int]:
-        keys = []
-
-        def suffix(budget: int, height: int, run: int, key: int) -> None:
-            budget -= 1
-            if height < budget:  # room to rise and still return to 0
-                suffix(budget, height + 1, run + (run < top), key + 1)
-            if run == k:  # a D or R step closes the up-run
-                key += closed
-            if height:
-                height -= 1
-                key += down
-            else:
-                key += right
-            if not height:
-                keys.append(key)
-            if budget:
-                suffix(budget, height, 0, key)
-
-        if rest:
-            suffix(rest, height, run, 0)
-        return keys
-
-    def prefix(depth: int, height: int, run: int, key: int) -> None:
-        if not height:
-            tally[key] += 1
-        if depth == half:
-            tail = tails.get((height, run))
-            if tail is None:
-                tail = tails[height, run] = suffixes(height, run)
-            tally.update(map(key.__add__, tail))
+    def descend(
+        depth: int, height: int, run: int, key: int, stop: int, axis: list, frontier: dict | None
+    ) -> None:
+        if depth == stop:
+            if frontier is not None:
+                frontier[height, run].append(key)
             return
         depth += 1
         if height < n - depth:  # room to rise and still return to 0
-            prefix(depth, height + 1, run + (run < top), key + 1)
-        if run == k:
+            descend(depth, height + 1, run + (run < top), key + 1, stop, axis, frontier)
+        if run == k:  # a D or R step closes the up-run
             key += closed
         if height:
-            prefix(depth, height - 1, 0, key + down)
+            height -= 1
+            key += down
         else:
-            prefix(depth, 0, 0, key + right)
+            key += right
+        if not height:
+            axis.append(key)
+        descend(depth, height, 0, key, stop, axis, frontier)
 
-    prefix(0, 0, 0, 0)
+    axis = [0]  # key 0 is the empty path
+    frontier: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+    descend(0, 0, 0, 0, half, axis, frontier)
+    tally = Counter(axis)
+    for (height, run), keys in frontier.items():
+        tail: list[int] = []
+        descend(half, height, run, 0, n, tail, None)
+        for key in keys:
+            tally.update(map(key.__add__, tail))
     rows = [[0, 0, 0, 0, [0] * (m // 2 + 1)] for m in range(n + 1)]
     for key, count in tally.items():
         runs, key = divmod(key, closed)
@@ -302,7 +289,6 @@ def one_ascent_distribution(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Distr
 
 def k_ascent_total(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Total number of maximal up-runs of exact length ``k`` over all DDPs of length ``n``."""
-    if k < 1:
-        raise ValueError(f"ascent length k must be >= 1, got {k}")
+    _require_ascent_length(k)
     _require_enumerable(n, cap)
     return sum(t * c for t, c in enumerate(_row(n, k)[-1]))

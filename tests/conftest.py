@@ -6,14 +6,15 @@ the library's pruned generators and regex shortcuts so the two routes
 stay independent.  Keep n small when calling these.
 
 The ``scans`` fixture records which words the PathWord alphabet check
-runs on, so tests can count how often an argument is validated.
+runs on, so tests can count how often an argument is validated; the
+``walks`` fixture records each brute-force walk, so tests can count them.
 """
 
 from itertools import product
 
 import pytest
 
-from ddpaths import PathWord
+from ddpaths import PathWord, enumeration
 
 
 def oracle_is_ddp(word: str) -> bool:
@@ -85,3 +86,18 @@ def scans(monkeypatch):
 
     monkeypatch.setattr(PathWord, "__post_init__", recording)
     return scanned
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The ``(n, k)`` of each brute-force walk started while the test runs, from a cold cache."""
+    started = []
+    walk = enumeration._walk
+
+    def counting(n, k):
+        started.append((n, k))
+        return walk(n, k)
+
+    monkeypatch.setattr(enumeration, "_walk", counting)
+    monkeypatch.setattr(enumeration, "_ROWS", {})
+    return started

@@ -189,6 +189,13 @@ class TestCount:
         assert code == 2
         assert "error: -k is required for stat k-ascents" in err
 
+    @pytest.mark.parametrize("method", ["closed", "dp", "brute"])
+    def test_bad_k_is_named_for_every_method(self, capsys, method):
+        code, out, err = run_cli(capsys, "count", "k-ascents", "5", "-k", "0", "--method", method)
+        assert code == 2
+        assert out == ""
+        assert "error: ascent length k must be >= 1, got 0" in err
+
     def test_k_only_applies_to_k_ascents(self, capsys):
         code, _, err = run_cli(capsys, "count", "paths", "8", "-k", "2")
         assert code == 2
@@ -253,6 +260,12 @@ class TestTotals:
         _, closed, _ = run_cli(capsys, "totals", "8")
         _, brute, _ = run_cli(capsys, "totals", "8", "--method", "brute")
         assert closed == brute
+
+    def test_brute_walks_once(self, capsys, walks):
+        code, out, _ = run_cli(capsys, "totals", "16", "--method", "brute")
+        assert code == 0
+        assert len(out.splitlines()) == 18
+        assert walks == [(16, 1)]
 
     def test_negative_length_rejected(self, capsys):
         code, out, err = run_cli(capsys, "totals", "-2")
@@ -489,7 +502,8 @@ class TestUsageErrors:
 
 
 class TestOutputBoundary:
-    # the fold recurses once per step: past the recursion limit it is a usage error, not a crash
+    # each half of the walk recurses once per step: a length over half the recursion limit
+    # is a usage error, not a crash
     @pytest.mark.parametrize("stat", [["paths"], ["k-ascents", "-k", "2"]], ids=lambda a: a[0])
     def test_brute_force_beyond_the_recursion_limit_exits_two(self, stat):
         argv = ["count", *stat, "1200", "--method", "brute", "--cap", "1200"]

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -17,7 +18,7 @@ from ddpaths import (
     one_ascent_distribution,
     totals_brute,
 )
-from ddpaths import enumeration, verify_all
+from ddpaths import verify_all
 from ddpaths.enumeration import CSV_HEADER, _ddp_words, _walk
 
 from conftest import (
@@ -32,21 +33,6 @@ from conftest import (
 
 def words(gen):
     return [p.word for p in gen]
-
-
-@pytest.fixture
-def walks(monkeypatch):
-    """The ``(n, k)`` of each brute-force walk started while the test runs, from a cold cache."""
-    started = []
-    walk = enumeration._walk
-
-    def counting(n, k):
-        started.append((n, k))
-        return walk(n, k)
-
-    monkeypatch.setattr(enumeration, "_walk", counting)
-    monkeypatch.setattr(enumeration, "_ROWS", {})
-    return started
 
 
 def oracle_rows(n, k):
@@ -236,7 +222,8 @@ class TestTotals:
         # the CSV header names the JSON keys, column by column
         assert CSV_HEADER.split(",") == list(rows[0].to_json_dict())
 
-    # the walk recurses once per step, so a raised cap meets the interpreter's recursion limit
+    # each half of the walk recurses once per step, and a raised cap meets the bound of half
+    # the interpreter's recursion limit
     def test_walk_beyond_the_recursion_limit_is_refused(self):
         with pytest.raises(ValueError, match="^length 1200 is too long for the brute-force walk"):
             totals_brute(1200, cap=1200)
@@ -348,6 +335,26 @@ class TestWalk:
         # RR has no up-run, UD one 1-ascent
         assert _walk(2, 1) == [empty, (0, 0, 0, 1, (1,)), (1, 1, 1, 2, (1, 1))]
         assert _walk(2, 2)[2] == (1, 1, 1, 2, (2, 0))
+
+    def test_the_stack_stays_half_deep(self):
+        # the prefix and each suffix descent are about n / 2 frames deep, one after the other
+        depth = deepest = 0
+
+        def profile(frame, event, arg):
+            nonlocal depth, deepest
+            if event == "call":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif event == "return":
+                depth -= 1
+
+        hook = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            _walk(22, 1)
+        finally:
+            sys.setprofile(hook)
+        assert deepest <= 22 // 2 + 4
 
     def test_memory(self):
         tracemalloc.start()
