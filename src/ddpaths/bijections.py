@@ -23,13 +23,13 @@ position pairs, the product of the free-segment counts.
 
 Every map takes a :class:`PathWord` or a raw word, as the functions of
 ``paths`` do.  The public maps validate their domain eagerly and only ever
-emit valid paths, so downstream checks can assume class validity.  The
-1-ascent pairing is done by two private kernels on raw words,
-``_cut_ascent`` and ``_paste_ascent``, which trust their input: the public
-maps guard them, and the verify harness feeds them enumerated words only.
-The kernels trade in insertion offsets: 0 for the start, ``i + 1`` after the
-down or right step at ``i``.  A :class:`SlotRef` is built only where a public
-map hands one out or takes one in.
+emit valid paths, so downstream checks can assume class validity.  Each map
+is done by a private kernel on raw words (``_reflect``/``_unreflect``,
+``_trade_up``/``_trade_right`` and ``_cut_ascent``/``_paste_ascent``), which
+trusts its input: the public maps guard the kernels, and the verify harness
+feeds them enumerated words only.  The 1-ascent kernels trade in insertion
+offsets: 0 for the start, ``i + 1`` after the down or right step at ``i``.  A
+:class:`SlotRef` is built only where a public map hands one out or takes one in.
 """
 
 from __future__ import annotations
@@ -154,22 +154,11 @@ def _require_ddp(path: PathWord | str) -> str:
     return path.word
 
 
-def plain_to_ddp(path: PathWord | str) -> PathWord:
-    """Reflect a plain path into a dispersed Dyck path of the same length.
-
-    One left-to-right pass with a running height decides each step on its
-    own: a step between heights 0 and -1 (in either direction) becomes a
-    right step, a step strictly below the axis is flipped (U <-> D), and
-    every other step is kept.  So each below-axis excursion turns into a
-    pair of right steps bracketing its flipped interior, and an excursion
-    that never returns contributes a single right step.
-    """
-    path = _path_of(path)
-    if not is_plain_path(path):
-        raise ValueError(f"{path.word!r} is not a plain path")
+def _reflect(word: str) -> str:
+    """Kernel of :func:`plain_to_ddp`; trusts ``word`` to be a plain path."""
     out = []
     height = 0
-    for step in path.word:
+    for step in word:
         # low is the lower of the step's two endpoint heights
         if step == "U":
             low = height
@@ -183,7 +172,38 @@ def plain_to_ddp(path: PathWord | str) -> PathWord:
             out.append(_FLIP[step])
         else:
             out.append(step)
-    return PathWord("".join(out))
+    return "".join(out)
+
+
+def _unreflect(word: str) -> str:
+    """Kernel of :func:`ddp_to_plain`; trusts ``word`` to be a DDP."""
+    out = []
+    inside = False  # past an even-numbered right step whose partner is still ahead
+    for step in word:
+        if step == "R":
+            out.append("U" if inside else "D")
+            inside = not inside
+        elif inside:
+            out.append(_FLIP[step])
+        else:
+            out.append(step)
+    return "".join(out)
+
+
+def plain_to_ddp(path: PathWord | str) -> PathWord:
+    """Reflect a plain path into a dispersed Dyck path of the same length.
+
+    One left-to-right pass with a running height decides each step on its
+    own: a step between heights 0 and -1 (in either direction) becomes a
+    right step, a step strictly below the axis is flipped (U <-> D), and
+    every other step is kept.  So each below-axis excursion turns into a
+    pair of right steps bracketing its flipped interior, and an excursion
+    that never returns contributes a single right step.
+    """
+    path = _path_of(path)
+    if not is_plain_path(path):
+        raise ValueError(f"{path.word!r} is not a plain path")
+    return PathWord(_reflect(path.word))
 
 
 def ddp_to_plain(path: PathWord | str) -> PathWord:
@@ -194,17 +214,25 @@ def ddp_to_plain(path: PathWord | str) -> PathWord:
     odd-numbered one an up step, and the steps between the two (or after a
     final unpaired even right step) are flipped back.
     """
-    out = []
-    inside = False  # past an even-numbered right step whose partner is still ahead
-    for step in _require_ddp(path):
-        if step == "R":
-            out.append("U" if inside else "D")
-            inside = not inside
-        elif inside:
-            out.append(_FLIP[step])
-        else:
-            out.append(step)
-    return PathWord("".join(out))
+    return PathWord(_unreflect(_require_ddp(path)))
+
+
+def _trade_up(word: str) -> str:
+    """Kernel of :func:`updown_forward`; trusts ``word`` to be an odd-length DDP ending in D."""
+    # walk back over the last excursion, which holds no R, to the up step that opened it
+    at = len(word)
+    height = 0
+    while True:
+        at -= 1
+        height += 1 if word[at] == "D" else -1
+        if not height:
+            return word[:at] + "R" + word[at + 1 : -1]
+
+
+def _trade_right(word: str) -> str:
+    """Kernel of :func:`updown_inverse`; trusts ``word`` to be an even-length DDP with an R."""
+    last_right = word.rfind("R")
+    return word[:last_right] + "U" + word[last_right + 1 :] + "D"
 
 
 def updown_forward(path: PathWord | str) -> PathWord:
@@ -216,22 +244,11 @@ def updown_forward(path: PathWord | str) -> PathWord:
     one up step fewer.
     """
     word = _require_ddp(path)
-    n = len(word)
-    if n % 2 == 0 or not word.endswith("D"):
+    if len(word) % 2 == 0 or not word.endswith("D"):
         raise ValueError(
             f"{word!r} is not an odd-length dispersed Dyck path ending in a down step"
         )
-    height = 0
-    last_up_from_axis = -1
-    for i, ch in enumerate(word):
-        if ch == "U":
-            if height == 0:
-                last_up_from_axis = i
-            height += 1
-        elif ch == "D":
-            height -= 1
-    # a DDP ending in a down step left the axis at least once
-    return PathWord(word[:last_up_from_axis] + "R" + word[last_up_from_axis + 1 : n - 1])
+    return PathWord(_trade_up(word))
 
 
 def updown_inverse(path: PathWord | str) -> PathWord:
@@ -243,10 +260,9 @@ def updown_inverse(path: PathWord | str) -> PathWord:
     word = _require_ddp(path)
     if len(word) % 2:
         raise ValueError(f"{word!r} has odd length; expected an even-length path")
-    last_right = word.rfind("R")
-    if last_right < 0:
+    if "R" not in word:
         raise ValueError(f"{word!r} has no right step to trade for an up step")
-    return PathWord(word[:last_right] + "U" + word[last_right + 1 :] + "D")
+    return PathWord(_trade_right(word))
 
 
 _KIND_AFTER = {letter: kind for kind, letter in _SLOT_LETTERS.items()}

@@ -5,16 +5,18 @@ formula is consulted anywhere in this module.  That makes these functions
 the oracle against which the closed-form counters and the bijections are
 verified.
 
-Two walks share one move rule.  ``_ddp_words`` streams the words,
-lexicographic under ``U < D < R`` so that streams are deterministic and
-golden-testable; it walks an explicit stack, so it streams at any length.
-``_walk`` covers the same tree without building words: one walk to length n
-aggregates the step totals and the k-ascent histogram of every length 0..n.
-One recursive descent walks both halves, the prefixes to depth n // 2 and the
-suffixes from there, and a flat loop joins them.  Every brute-force count reads
-its cache, the package's only one.  A cap (default 26, about 10.4 million words)
-guards against accidental enumeration blowups; every entry point that
-enumerates takes the cap as an argument.
+Two walks share one move rule, and both are joined at half depth.
+``_ddp_words`` streams the words, lexicographic under ``U < D < R`` so that
+streams are deterministic and golden-testable.  Both of its halves are walks
+on an explicit stack: the prefixes to depth n // 2, and for each height the
+list of suffixes from there, built once; its memory is those suffix lists,
+about 2^(n/2) words.  ``_walk`` covers the same tree without building words:
+one walk to length n aggregates the step totals and the k-ascent histogram of
+every length 0..n.  One recursive descent walks both of its halves, and a flat
+loop joins them.  Every brute-force count reads its cache, the package's only
+one.  A cap (default 26, about 10.4 million words) guards against accidental
+enumeration blowups; every entry point that enumerates takes the cap as an
+argument.
 """
 
 from __future__ import annotations
@@ -106,22 +108,42 @@ def _ddp_words(n: int, flat: bool = True) -> Iterator[str]:
     """All DDP words of length n, lexicographic under U < D < R.
 
     ``flat=False`` forbids R steps, which leaves the Dyck words (none for odd n).
+    Every prefix of length n // 2 is followed by each suffix of its height.
+    All prefixes have the same length, so (prefix, suffix) order is word order.
     """
     if not flat and n % 2:
         return
-    stack = [("", 0)]  # (prefix, height); the U child is pushed last so it pops first
+    half = n // 2
+    tails: dict[int, list[str]] = {}  # by height, the suffixes from depth n // 2
+    for prefix, height in _moves(0, half, n, flat):
+        tail = tails.get(height)
+        if tail is None:
+            tail = tails[height] = _suffixes(height, n - half, flat)
+        yield from map(prefix.__add__, tail)
+
+
+def _moves(height: int, steps: int, room: int, flat: bool) -> Iterator[tuple[str, int]]:
+    """Each ``steps``-step word from ``height`` that can still return to the axis within
+    ``room`` steps, with its end height, in U < D < R order; walked on an explicit stack."""
+    stack = [("", height)]  # the U child is pushed last so it pops first
+    pop, push = stack.pop, stack.append
     while stack:
-        word, height = stack.pop()
-        remaining = n - len(word)
-        if not remaining:
-            yield word
+        word, height = pop()
+        done = len(word)
+        if done == steps:
+            yield word, height
             continue
         if height:
-            stack.append((word + "D", height - 1))
+            push((word + "D", height - 1))
         elif flat:
-            stack.append((word + "R", 0))
-        if height <= remaining - 2:  # room to rise and still return to 0
-            stack.append((word + "U", height + 1))
+            push((word + "R", 0))
+        if height <= room - done - 2:  # room to rise and still return to 0
+            push((word + "U", height + 1))
+
+
+def _suffixes(height: int, steps: int, flat: bool) -> list[str]:
+    """Every ``steps``-step word from ``height`` back to the axis, in U < D < R order."""
+    return [word for word, _ in _moves(height, steps, steps, flat)]
 
 
 _Row = tuple[int, int, int, int, tuple[int, ...]]

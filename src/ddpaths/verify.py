@@ -28,8 +28,12 @@ from typing import Callable, Iterable
 from .bijections import (
     _cut_ascent,
     _paste_ascent,
+    _reflect,
     _slot_at,
     _slot_text,
+    _trade_right,
+    _trade_up,
+    _unreflect,
     ascent_insert,
     ascent_remove,
     ddp_to_plain,
@@ -57,14 +61,15 @@ from .formulas import (
     r_convolution,
     u_closed,
 )
-from .paths import _ONE_ASCENT, PathWord
+from .paths import _ONE_ASCENT
 
 __all__ = ["CheckResult", "VerificationReport", "CHECK_IDS", "verify_lemma", "verify_all"]
 
 # fixed ranges for the cheap arithmetic tails bundled into mixed checks
 _CLOSED_RANGE = 400
 _CATALAN_RANGE = 200
-_ASYM_POINTS = (1000, 10000)
+_ASYM_POINTS = (1000, 10000)  # both even: the second-order term below holds at even m
+_ASYM_C = math.sqrt(math.pi / 2) / 4
 
 
 @dataclass(frozen=True)
@@ -126,10 +131,30 @@ def _onto_mismatch(n: int, images: set, target: set) -> dict | None:
     return {"n": n, "missing": sorted(target - images)[:3], "extra": sorted(images - target)[:3]}
 
 
-# stated here with its own letters, not taken from the kernels, so that the onto
-# comparison in L5-bijection stays independent of them: the start, then after each D or R
-def _offsets_of(word: str) -> list[int]:
-    return [0] + [i + 1 for i, ch in enumerate(word) if ch == "D" or ch == "R"]
+def _words_onto_mismatch(
+    n: int, images: set[str], target: Callable[[], Iterable[str]]
+) -> dict | None:
+    """:func:`_onto_mismatch` against the distinct words of ``target()``, which streams them:
+    a set of them is built only for the counterexample."""
+    count = 0
+    for w in target():
+        if w not in images:
+            break
+        count += 1
+    else:
+        if count == len(images):
+            return None
+    return _onto_mismatch(n, images, set(target()))
+
+
+# the slot rule, stated here with its own letters, not taken from the kernels, so that the
+# onto comparison in L5-bijection stays independent of them: offset 0 for the start, and
+# i + 1 after the D or R at i.  Bit i of ``("D" + word)[::-1]`` read in base 2 is offset i.
+_SLOT_BITS = str.maketrans("UDR", "011")
+
+
+def _offset_mask(word: str) -> int:
+    return int(("D" + word)[::-1].translate(_SLOT_BITS), 2)
 
 
 # the --slot name of a slot after each step letter, stated here for the same reason
@@ -140,7 +165,7 @@ def _masks_onto(n: int, masks: dict[str, int]) -> bool:
     """Whether ``masks`` holds, for each DDP of length ``n``, exactly its offsets' mask."""
     count = 0
     for w in _ddp_words(n):
-        if masks.get(w) != sum(1 << at for at in _offsets_of(w)):
+        if masks.get(w) != _offset_mask(w):
             return False
         count += 1
     return count == len(masks)
@@ -180,18 +205,42 @@ def _check_l1_count(max_n: int) -> dict | None:
 
 
 def _check_l1_bijection(max_n: int) -> dict | None:
+    # The kernels skip the public maps' scans: every input word is enumerated, and the
+    # onto comparison proves each image a DDP; the public edge sub-check runs the maps.
     for n in range(max_n + 1):
         images = set()
+        dips = None  # the first plain word that dips below the axis (its image has an R)
         for w in _plain_words(n):
-            q = plain_to_ddp(PathWord(w))
-            back = ddp_to_plain(q)
-            if back.word != w:
-                return {"n": n, "plain": w, "image": q.word, "roundtrip": back.word}
-            images.add(q.word)
+            q = _reflect(w)
+            back = _unreflect(q)
+            if back != w:
+                return {"n": n, "plain": w, "image": q, "roundtrip": back}
+            images.add(q)
+            if dips is None and "R" in q:
+                dips = w, q
         # a round trip on every plain word plus onto gives the DDP-side round trip
-        mismatch = _onto_mismatch(n, images, set(_ddp_words(n)))
+        mismatch = _words_onto_mismatch(n, images, lambda: _ddp_words(n))
+        if not mismatch and dips:
+            mismatch = _public_maps_mismatch(n, "plain", *dips, plain_to_ddp, ddp_to_plain)
         if mismatch:
             return mismatch
+    return None
+
+
+def _public_maps_mismatch(
+    n: int, key: str, word: str, image: str, forward: Callable, backward: Callable
+) -> dict | None:
+    """``word`` through the public maps: ``forward`` must give the kernel's ``image``, and
+    ``backward`` must bring that back to ``word``."""
+    try:
+        public = forward(word).word
+        if public != image:
+            return {"n": n, key: word, "image": public, "kernel image": image}
+        back = backward(public).word
+    except ValueError as exc:
+        return {"n": n, key: word, "error": str(exc)}
+    if back != word:
+        return {"n": n, key: word, "image": public, "roundtrip": back}
     return None
 
 
@@ -226,20 +275,27 @@ def _check_l3_recursion(max_n: int) -> dict | None:
 
 
 def _check_l3_bijection(max_n: int) -> dict | None:
+    # as in L1-bijection: kernels on enumerated words, then the public maps at the edge
     for n in range(1, max_n + 1, 2):
-        target = {w for w in _ddp_words(n - 1) if "R" in w}
         images = set()
+        first = None  # the first word that ends in D, with its image
         for w in _ddp_words(n):
             if not w.endswith("D"):
                 continue
-            q = updown_forward(PathWord(w))
-            back = updown_inverse(q)
-            if back.word != w:
-                return {"n": n, "path": w, "image": q.word, "roundtrip": back.word}
-            if q.word.count("U") != w.count("U") - 1:
-                return {"n": n, "path": w, "image": q.word, "detail": "up count"}
-            images.add(q.word)
-        mismatch = _onto_mismatch(n, images, target)
+            q = _trade_up(w)
+            back = _trade_right(q)
+            if back != w:
+                return {"n": n, "path": w, "image": q, "roundtrip": back}
+            if q.count("U") != w.count("U") - 1:
+                return {"n": n, "path": w, "image": q, "detail": "up count"}
+            images.add(q)
+            if first is None:
+                first = w, q
+        mismatch = _words_onto_mismatch(
+            n, images, lambda: (w for w in _ddp_words(n - 1) if "R" in w)
+        )
+        if not mismatch and first:
+            mismatch = _public_maps_mismatch(n, "path", *first, updown_forward, updown_inverse)
         if mismatch:
             return mismatch
     for k in range(1, _CATALAN_RANGE + 1):
@@ -337,7 +393,7 @@ def _check_l5_bijection(max_n: int) -> dict | None:
                     return {"n": m, "path": w, "pos": pos, "roundtrip": back}
         if not _masks_onto(m - 2, seen) or below:
             images = _mask_pairs(seen) | {(w, ~b) for w, b in _mask_pairs(below)}
-            expected = {(w, at) for w in _ddp_words(m - 2) for at in _offsets_of(w)}
+            expected = _mask_pairs({w: _offset_mask(w) for w in _ddp_words(m - 2)})
             return _onto_mismatch(m, _pair_texts(images), _pair_texts(expected))
         mismatch = _public_edge_mismatch(m)
         if mismatch:
@@ -422,12 +478,20 @@ def _check_eqstar(max_n: int) -> dict | None:
 
 def _check_asym(max_n: int) -> dict | None:
     m_lo, m_hi = _ASYM_POINTS
-    dev_lo = abs(asymptotic_ratio(m_lo) - 1.0)
-    dev_hi = abs(asymptotic_ratio(m_hi) - 1.0)
+    ratio_lo, ratio_hi = asymptotic_ratio(m_lo), asymptotic_ratio(m_hi)
+    dev_lo = abs(ratio_lo - 1.0)
+    dev_hi = abs(ratio_hi - 1.0)
     if dev_lo > 0.01:
         return {"m": m_lo, "deviation": dev_lo, "tolerance": 0.01}
     if not dev_hi < dev_lo:
         return {"m": m_hi, "deviation": dev_hi, "deviation_at_smaller_m": dev_lo}
+    # at even m, m * (ratio - 1) = -1/4 + c / sqrt(m) + O(1/m) with c = sqrt(pi/2) / 4; the
+    # remainder times m is about -0.35 at both points, so a wrong constant in the estimate,
+    # even 2**-0.01 or a 20 % larger sqrt(pi/(2m)) term, overshoots the bound of 1/m
+    for m, ratio in zip(_ASYM_POINTS, (ratio_lo, ratio_hi)):
+        scaled, expected = m * (ratio - 1.0), -0.25 + _ASYM_C / math.sqrt(m)
+        if not abs(scaled - expected) <= 1 / m:
+            return {"m": m, "m*(ratio-1)": scaled, "expected": expected, "bound": 1 / m}
     return None
 
 
@@ -474,7 +538,11 @@ _CHECKS: dict[str, _CheckSpec] = {
     "EQSTAR": _CheckSpec(_check_eqstar, 14, 22, "0 <= n <= {n}" + _CLOSED_TAIL),
     # fixed comparison points; max_n is not consulted, so any range is accepted
     "ASYM": _CheckSpec(
-        _check_asym, 10000, 10000, "m in {{%d, %d}}" % _ASYM_POINTS, max_n=math.inf
+        _check_asym,
+        10000,
+        10000,
+        "m in {{%d, %d}}; |m*(ratio-1) + 1/4 - c/sqrt(m)| <= 1/m, c = sqrt(pi/2)/4" % _ASYM_POINTS,
+        max_n=math.inf,
     ),
 }
 

@@ -30,8 +30,12 @@ from ddpaths.bijections import (
     _cut_ascent,
     _parse_slot,
     _paste_ascent,
+    _reflect,
     _slot_at,
     _slot_text,
+    _trade_right,
+    _trade_up,
+    _unreflect,
 )
 from ddpaths.enumeration import _ddp_words, _plain_words
 
@@ -167,6 +171,29 @@ class TestUpdown:
             assert image.count("U") == w.count("D") - 1
             images.add(image)
         assert images == target
+
+
+class TestReflectionKernels:
+    """The raw-word kernels behind plain_to_ddp / ddp_to_plain."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_public_maps_wrap_the_kernels(self, n):
+        for w in _plain_words(n):
+            assert plain_to_ddp(w) == PathWord(_reflect(w))
+        for w in _ddp_words(n):
+            assert ddp_to_plain(w) == PathWord(_unreflect(w))
+
+
+class TestUpdownKernels:
+    """The raw-word kernels behind updown_forward / updown_inverse."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_public_maps_wrap_the_kernels(self, n):
+        for w in _ddp_words(n):
+            if n % 2 and w.endswith("D"):
+                assert updown_forward(w) == PathWord(_trade_up(w))
+            if not n % 2 and "R" in w:
+                assert updown_inverse(w) == PathWord(_trade_right(w))
 
 
 class TestAscentPairing:
@@ -328,7 +355,14 @@ def _long_ddp_words(draw):
 
 
 class TestLongWords:
-    """The ascent maps beyond the exhaustive range, on random words of up to 300 steps."""
+    """The maps beyond the exhaustive range, on random words of up to 300 steps."""
+
+    @given(_long_ddp_words())
+    def test_reflection_round_trips(self, w):
+        plain = _unreflect(w)
+        assert ddp_to_plain(w).word == plain
+        assert _reflect(plain) == w
+        assert plain_to_ddp(plain).word == w
 
     @given(_long_ddp_words())
     def test_every_one_ascent_round_trips(self, w):

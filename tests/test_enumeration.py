@@ -18,8 +18,8 @@ from ddpaths import (
     one_ascent_distribution,
     totals_brute,
 )
-from ddpaths import verify_all
-from ddpaths.enumeration import CSV_HEADER, _ddp_words, _walk
+from ddpaths import enumeration, verify_all
+from ddpaths.enumeration import CSV_HEADER, _ddp_words, _suffixes, _walk
 
 from conftest import (
     lex_key,
@@ -102,6 +102,27 @@ class TestGenerators:
         # far beyond the interpreter's recursion limit; only the first word is built
         assert next(enumerate_ddp(1501, cap=1501)).word == "U" * 750 + "D" * 750 + "R"
         assert next(enumerate_dyck(1500, cap=1500)).word == "U" * 750 + "D" * 750
+
+    def test_stream_memory(self, monkeypatch):
+        # the stream holds its suffix lists, built once per height: 2**10 words for n = 20
+        built = []
+
+        def recording(height, steps, flat):
+            built.append((height, _suffixes(height, steps, flat)))
+            return built[-1][1]
+
+        monkeypatch.setattr(enumeration, "_suffixes", recording)
+        tracemalloc.start()
+        try:
+            for _ in _ddp_words(20):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        heights = [height for height, _ in built]
+        assert len(heights) == len(set(heights))
+        assert sum(len(tail) for _, tail in built) == 2**10
 
     @pytest.mark.parametrize("n", range(15))
     def test_dyck_matches_filter_oracle(self, n):

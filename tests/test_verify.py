@@ -15,6 +15,7 @@ from ddpaths import (
     CheckResult,
     PathWord,
     SlotKind,
+    a_asymptotic,
     a_closed,
     asymptotic_ratio,
     catalan,
@@ -22,18 +23,23 @@ from ddpaths import (
     central_binomials,
     ddp_to_plain,
     one_ascent_positions,
-    plain_to_ddp,
     r_closed,
     r_convolution,
     r_pair_decomposition,
     totals_brute,
     u_closed,
     updown_forward,
-    updown_inverse,
     verify_all,
     verify_lemma,
 )
-from ddpaths.bijections import _cut_ascent, _paste_ascent
+from ddpaths.bijections import (
+    _cut_ascent,
+    _paste_ascent,
+    _reflect,
+    _trade_right,
+    _trade_up,
+    _unreflect,
+)
 from ddpaths.formulas import _FACTOR_FROM, _closed_rows, _factored_central_binomial
 
 
@@ -182,6 +188,19 @@ def test_l5_bijection_visits_every_one_ascent(monkeypatch):
     assert len(calls) == sum(totals_brute(m).one_ascents for m in range(2, 11))
 
 
+def test_l1_bijection_visits_every_plain_word(monkeypatch):
+    # one reflect-kernel call per plain word of every length in range
+    calls = []
+
+    def counting(word):
+        calls.append(word)
+        return _reflect(word)
+
+    monkeypatch.setattr(ddpaths.verify, "_reflect", counting)
+    assert verify_lemma("L1-bijection", 10).passed
+    assert len(calls) == sum(math.comb(n, n // 2) for n in range(11))
+
+
 def test_l5_bijection_memory():
     # one offset mask per image word: the (word, offset) pairs of n = 14 traced 2.8 MiB
     tracemalloc.start()
@@ -319,10 +338,10 @@ class TestFaultInjection:
         )
 
     def test_l1_bijection(self, monkeypatch):
-        def broken(path):
-            return PathWord("RRR") if path.word == "DDU" else plain_to_ddp(path)
+        def broken(word):
+            return "RRR" if word == "DDU" else _reflect(word)
 
-        monkeypatch.setattr(ddpaths.verify, "plain_to_ddp", broken)
+        monkeypatch.setattr(ddpaths.verify, "_reflect", broken)
         roundtrip = ddp_to_plain(PathWord("RRR")).word
         assert verify_lemma("L1-bijection", 10) == _failed(
             "L1-bijection",
@@ -332,16 +351,37 @@ class TestFaultInjection:
 
     def test_l1_bijection_onto(self, monkeypatch):
         # DDU <-> UUU round-trips, but UUU is no DDP and RUD is left without a preimage
-        def forward(path):
-            return PathWord("UUU") if path.word == "DDU" else plain_to_ddp(path)
+        def forward(word):
+            return "UUU" if word == "DDU" else _reflect(word)
 
-        def backward(path):
-            return PathWord("DDU") if path.word == "UUU" else ddp_to_plain(path)
+        def backward(word):
+            return "DDU" if word == "UUU" else _unreflect(word)
 
-        monkeypatch.setattr(ddpaths.verify, "plain_to_ddp", forward)
-        monkeypatch.setattr(ddpaths.verify, "ddp_to_plain", backward)
+        monkeypatch.setattr(ddpaths.verify, "_reflect", forward)
+        monkeypatch.setattr(ddpaths.verify, "_unreflect", backward)
         assert verify_lemma("L1-bijection", 10) == _failed(
             "L1-bijection", "0 <= n <= 10", {"n": 3, "missing": ["RUD"], "extra": ["UUU"]}
+        )
+
+    # the kernels are intact, so only the public edge sub-check sees the broken wrapper;
+    # D, of length 1, is the first plain word that dips below the axis
+    @pytest.mark.parametrize(
+        "target, fault, detail",
+        [
+            ("verify.plain_to_ddp", PathWord, {"image": "D", "kernel image": "R"}),
+            ("verify.ddp_to_plain", lambda path: PathWord("U"), {"image": "R", "roundtrip": "U"}),
+            (
+                "bijections.is_dispersed_dyck",
+                lambda path: False,
+                {"error": "'R' is not a dispersed Dyck path"},
+            ),
+        ],
+        ids=["image", "roundtrip", "guard"],
+    )
+    def test_l1_bijection_public_edge(self, monkeypatch, target, fault, detail):
+        monkeypatch.setattr(f"ddpaths.{target}", fault)
+        assert verify_lemma("L1-bijection", 10) == _failed(
+            "L1-bijection", "0 <= n <= 10", {"n": 1, "plain": "D", **detail}
         )
 
     def test_l2_recursion_and_decomposition(self, monkeypatch):
@@ -367,7 +407,7 @@ class TestFaultInjection:
         )
 
     def test_l3_bijection_roundtrip(self, monkeypatch):
-        monkeypatch.setattr(ddpaths.verify, "updown_inverse", lambda path: path)
+        monkeypatch.setattr(ddpaths.verify, "_trade_right", lambda word: word)
         image = updown_forward(PathWord("RUD")).word
         assert verify_lemma("L3-bijection", 10) == _failed(
             "L3-bijection",
@@ -377,18 +417,42 @@ class TestFaultInjection:
 
     def test_l3_bijection_onto(self, monkeypatch):
         # RUD <-> DD round-trips and drops one up step, but DD has no right step
-        def forward(path):
-            return PathWord("DD") if path.word == "RUD" else updown_forward(path)
+        def forward(word):
+            return "DD" if word == "RUD" else _trade_up(word)
 
-        def backward(path):
-            return PathWord("RUD") if path.word == "DD" else updown_inverse(path)
+        def backward(word):
+            return "RUD" if word == "DD" else _trade_right(word)
 
-        monkeypatch.setattr(ddpaths.verify, "updown_forward", forward)
-        monkeypatch.setattr(ddpaths.verify, "updown_inverse", backward)
+        monkeypatch.setattr(ddpaths.verify, "_trade_up", forward)
+        monkeypatch.setattr(ddpaths.verify, "_trade_right", backward)
         assert verify_lemma("L3-bijection", 10) == _failed(
             "L3-bijection",
             L3_BIJECTION_RANGE.format(10),
             {"n": 3, "missing": ["RR"], "extra": ["DD"]},
+        )
+
+    # as for L1: RUD, of length 3, is the first odd word that ends in D
+    @pytest.mark.parametrize(
+        "target, fault, detail",
+        [
+            ("verify.updown_forward", PathWord, {"image": "RUD", "kernel image": "RR"}),
+            (
+                "verify.updown_inverse",
+                lambda path: PathWord("UUD"),
+                {"image": "RR", "roundtrip": "UUD"},
+            ),
+            (
+                "bijections.is_dispersed_dyck",
+                lambda path: False,
+                {"error": "'RUD' is not a dispersed Dyck path"},
+            ),
+        ],
+        ids=["image", "roundtrip", "guard"],
+    )
+    def test_l3_bijection_public_edge(self, monkeypatch, target, fault, detail):
+        monkeypatch.setattr(f"ddpaths.{target}", fault)
+        assert verify_lemma("L3-bijection", 10) == _failed(
+            "L3-bijection", L3_BIJECTION_RANGE.format(10), {"n": 3, "path": "RUD", **detail}
         )
 
     def test_l3_bijection_catalan_argument(self, monkeypatch):
@@ -529,7 +593,7 @@ class TestFaultInjection:
         )
         assert verify_lemma("ASYM") == _failed(
             "ASYM",
-            "m in {1000, 10000}",
+            ASYM_RANGE,
             {"m": 1000, "deviation": abs(asymptotic_ratio(1000) * 1.02 - 1.0), "tolerance": 0.01},
         )
 
@@ -538,8 +602,35 @@ class TestFaultInjection:
         deviation = abs(1.005 - 1.0)
         assert verify_lemma("ASYM") == _failed(
             "ASYM",
-            "m in {1000, 10000}",
+            ASYM_RANGE,
             {"m": 10000, "deviation": deviation, "deviation_at_smaller_m": deviation},
+        )
+
+    # two wrong estimates, each off by a log2 term, that the 1 % tolerance and the
+    # tightening both let through: 2**(m - 2.49) in place of 2**(m - 5/2), and the
+    # sqrt(pi/(2m)) term made 20 % too large
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda m: 0.01,
+            lambda m: math.log2((1 + 1.2 * _sqrt_term(m)) / (1 + _sqrt_term(m))),
+        ],
+        ids=["power-of-two", "sqrt-term"],
+    )
+    def test_asym_second_order(self, monkeypatch, wrong):
+        def estimate(m):
+            right = a_asymptotic(m)
+            return right._replace(log2=right.log2 + wrong(m))
+
+        monkeypatch.setattr("ddpaths.formulas.a_asymptotic", estimate)
+        ratio = asymptotic_ratio(1000)
+        assert abs(ratio - 1.0) < 0.01 and abs(asymptotic_ratio(10000) - 1.0) < abs(ratio - 1.0)
+        scaled = 1000 * (ratio - 1.0)
+        expected = -0.25 + math.sqrt(math.pi / 2) / 4 / math.sqrt(1000)
+        assert verify_lemma("ASYM") == _failed(
+            "ASYM",
+            ASYM_RANGE,
+            {"m": 1000, "m*(ratio-1)": scaled, "expected": expected, "bound": 1 / 1000},
         )
 
     def test_overall_fails_with_injected_fault(self, monkeypatch):
@@ -556,6 +647,11 @@ L4_RANGE = "1 <= n <= {0} (recursions); 0 <= n <= {0} (stream); base cases n = 1
 L5_BIJECTION_RANGE = "2 <= n <= {} (longer path length)"
 L5_COUNT_RANGE = "2 <= n <= {} (brute); 0 <= n <= 400 (closed forms)"
 EQSTAR_RANGE = "0 <= n <= {} (brute); 0 <= n <= 400 (closed forms)"
+ASYM_RANGE = "m in {1000, 10000}; |m*(ratio-1) + 1/4 - c/sqrt(m)| <= 1/m, c = sqrt(pi/2)/4"
+
+
+def _sqrt_term(m):
+    return math.sqrt(math.pi / (2 * m))
 
 
 def _failed(check_id, rng, counterexample):
