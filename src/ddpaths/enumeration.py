@@ -10,13 +10,14 @@ Two walks share one move rule, and both are joined at half depth.
 streams are deterministic and golden-testable.  Both of its halves are walks
 on an explicit stack: the prefixes to depth n // 2, and for each height the
 list of suffixes from there, built once; its memory is those suffix lists,
-about 2^(n/2) words.  ``_walk`` covers the same tree without building words:
-one walk to length n aggregates the step totals and the k-ascent histogram of
-every length 0..n.  One recursive descent walks both of its halves, and a flat
-loop joins them.  Every brute-force count reads its cache, the package's only
-one.  A cap (default 26, about 10.4 million words) guards against accidental
-enumeration blowups; every entry point that enumerates takes the cap as an
-argument.
+about 2^(n/2) words.  Beyond the cap the suffixes stay 13 steps long and the
+prefixes grow instead, so the lists never hold more than 2^13 words.
+``_walk`` covers the same tree without building words: one walk to length n
+aggregates the step totals and the k-ascent histogram of every length 0..n.
+One recursive descent walks both of its halves, and a flat loop joins them.
+Every brute-force count reads its cache, the package's only one.  A cap
+(default 26, about 10.4 million words) guards against accidental enumeration
+blowups; every entry point that enumerates takes the cap as an argument.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 26
+
+# the word stream's suffix length; its suffix lists hold at most 2**13 = 8192 words
+# (each step from a height has two choices), whatever the length of the words
+_SUFFIX_STEPS = DEFAULT_ENUMERATION_CAP // 2
 
 # CountRow's fields in order (its __slots__), by the names its JSON keys and CSV columns print
 _COLUMNS = ("n", "dD", "dyck", "U", "D", "R", "A")
@@ -108,13 +113,14 @@ def _ddp_words(n: int, flat: bool = True) -> Iterator[str]:
     """All DDP words of length n, lexicographic under U < D < R.
 
     ``flat=False`` forbids R steps, which leaves the Dyck words (none for odd n).
-    Every prefix of length n // 2 is followed by each suffix of its height.
-    All prefixes have the same length, so (prefix, suffix) order is word order.
+    Every prefix of length n // 2, or n - 13 beyond the cap, is followed by each
+    suffix of its height.  All prefixes have the same length, so (prefix, suffix)
+    order is word order.
     """
     if not flat and n % 2:
         return
-    half = n // 2
-    tails: dict[int, list[str]] = {}  # by height, the suffixes from depth n // 2
+    half = max(n // 2, n - _SUFFIX_STEPS)
+    tails: dict[int, list[str]] = {}  # by height, the suffixes from depth half
     for prefix, height in _moves(0, half, n, flat):
         tail = tails.get(height)
         if tail is None:

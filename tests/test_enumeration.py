@@ -1,6 +1,7 @@
 """Generators, DP counting and brute-force totals against independent oracles."""
 
 import hashlib
+import itertools
 import math
 import sys
 import tracemalloc
@@ -123,6 +124,35 @@ class TestGenerators:
         heights = [height for height, _ in built]
         assert len(heights) == len(set(heights))
         assert sum(len(tail) for _, tail in built) == 2**10
+
+    def test_long_stream_memory(self, monkeypatch):
+        # beyond the cap the suffixes stay 13 steps long, so the lists never pass 2**13 words
+        built = []
+
+        def recording(height, steps, flat):
+            built.append((steps, _suffixes(height, steps, flat)))
+            return built[-1][1]
+
+        monkeypatch.setattr(enumeration, "_suffixes", recording)
+        tracemalloc.start()
+        try:
+            for _ in itertools.islice(_ddp_words(60), 10**5):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert {steps for steps, _ in built} == {13}
+        assert sum(len(_suffixes(h, 13, True)) for h in range(14)) == 2**13
+
+    @pytest.mark.parametrize("flat", [True, False], ids=["ddp", "dyck"])
+    def test_short_suffixes_keep_the_order(self, monkeypatch, flat):
+        # the join beyond the cap, moved down to n = 12 by shortening the suffixes
+        expected = list(_ddp_words(12, flat))
+        monkeypatch.setattr(enumeration, "_SUFFIX_STEPS", 2)
+        assert list(_ddp_words(12, flat)) == expected
+        oracle = oracle_ddp_words(12) if flat else oracle_dyck_words(12)
+        assert expected == sorted(oracle, key=lex_key)
 
     @pytest.mark.parametrize("n", range(15))
     def test_dyck_matches_filter_oracle(self, n):
