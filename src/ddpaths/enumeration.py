@@ -5,31 +5,31 @@ formula is consulted anywhere in this module.  That makes these functions
 the oracle against which the closed-form counters and the bijections are
 verified.
 
-Two walks share one move rule, and both are joined at half depth.
-``_ddp_words`` streams the words, lexicographic under ``U < D < R`` so that
-streams are deterministic and golden-testable.  Both of its halves are walks
-on an explicit stack: the prefixes to depth n // 2, and for each height the
-list of suffixes from there, built once; its memory is those suffix lists,
-about 2^(n/2) words.  Beyond the cap the suffixes stay 13 steps long and the
-prefixes grow instead, so the lists never hold more than 2^13 words.
-``_walk`` covers the same tree without building words: one walk to length n
-aggregates the step totals and the k-ascent histogram of every length 0..n.
-One recursive descent walks both of its halves, and a flat loop joins them.
-Every brute-force count reads its cache, the package's only one.  A cap
-(default 26, about 10.4 million words) guards against accidental enumeration
-blowups; every entry point that enumerates takes the cap as an argument.
+One stack walker, ``_moves``, states the move rule, and it has two
+consumers, both joined at half depth; nothing here recurses.  ``_ddp_words``
+streams the words, lexicographic under ``U < D < R`` so that streams are
+deterministic and golden-testable: the prefixes to depth n // 2, each
+followed by the list of suffixes from its height, built once; its memory is
+those suffix lists, about 2^(n/2) words.  Beyond the cap the suffixes stay
+13 steps long and the prefixes grow instead, so the lists never hold more
+than 2^13 words.  ``_walk`` reads the same prefixes and suffixes and keys
+each by its step counts: one walk to length n aggregates the step totals
+and the k-ascent histogram of every length 0..n.  Every brute-force count
+reads its cache, the package's only one.  A cap (default 26, about 10.4
+million words) guards against accidental enumeration blowups, and it is the
+only bound on length; every entry point that enumerates takes the cap as an
+argument.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 from typing import Iterator
 
-from .paths import PathWord
+from .paths import PathWord, _k_ascent
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -149,7 +149,7 @@ def _moves(height: int, steps: int, room: int, flat: bool) -> Iterator[tuple[str
 
 def _suffixes(height: int, steps: int, flat: bool) -> list[str]:
     """Every ``steps``-step word from ``height`` back to the axis, in U < D < R order."""
-    return [word for word, _ in _moves(height, steps, steps, flat)]
+    return [word for word, end in _moves(height, steps, steps, flat) if not end]
 
 
 _Row = tuple[int, int, int, int, tuple[int, ...]]
@@ -169,76 +169,62 @@ def _row(n: int, k: int) -> _Row:
 
 
 def _walk(n: int, k: int) -> list[_Row]:
-    """Aggregate over every DDP of each length 0..n, walking the tree of ``_ddp_words`` once.
+    """Aggregate over every DDP of each length 0..n, reading the words of ``_moves``.
 
     Row m is ``(dyck, ups, downs, rights, hist)``: the R-free path count, the
     U/D/R step totals, and ``hist[t]``, the number of length-m paths with
     exactly ``t`` maximal up-runs of length ``k``.
 
-    The walk is joined at half depth.  A descent walks every step sequence
-    from a node down to a stop depth; it lists the key of each height-0 node
-    it reaches, and files the key of each node it reaches at the stop depth
-    under that node's height and trailing up-run.  The prefix is the descent
-    from the root to depth n // 2, so a path of length m <= n // 2 is the
-    root or a height-0 node of the prefix.  A longer path is a prefix node at
-    that depth followed by a non-empty suffix that ends at height 0.  A node's
-    suffixes depend only on its height and its trailing up-run (capped at
-    k + 1, as a run can span the split), so for each (height, run) filed the
-    descent to depth n runs once and its list is joined to every key filed
-    there.  A path's statistics pack into one integer key, base n + 1, whose fields add
-    along the path, so a prefix key plus a suffix key is the path's key.  Each
-    path adds exactly one increment to the tally of its key, and the tally is
-    decoded into rows at the end.
+    A path's statistics pack into one integer key, base n + 1, counted from
+    its word.  A path of length m <= n // 2 is a word of ``_ddp_words(m)``.  A
+    longer one is a prefix of length n // 2 from ``_moves`` followed by a
+    non-empty suffix from ``_suffixes``.  Which suffixes may follow depends only
+    on the prefix's height, and what they add to the k-runs only on its trailing
+    up-run (capped at k + 1, as a run can span the split).  So a prefix is keyed
+    without its trailing run, plus the run's ups, and filed by height and run;
+    each height's suffixes are listed once and keyed once per run, behind that
+    run and less its ups.  A prefix key plus a suffix key is the path's key.
+    Each path adds exactly one increment to the tally of its key, and the tally
+    is decoded into rows at the end.  Nothing recurses, so the cap is the only
+    bound on n.
     """
-    # the prefix and each suffix descent recurse once per step, n // 2 or n - n // 2
-    # frames deep and never nested; refusing lengths over half the recursion limit
-    # leaves most of it to the caller's frames
-    limit = sys.getrecursionlimit() // 2
-    if n > limit:
-        raise ValueError(
-            f"length {n} is too long for the brute-force walk, which recurses once per step; "
-            f"lengths over half the interpreter's recursion limit ({limit}) are refused"
-        )
     # a key is ups + downs * down + rights * right + runs * closed, each field below n + 1
     down, right, closed = n + 1, (n + 1) ** 2, (n + 1) ** 3
     half = n // 2
     top = k + 1  # every up-run longer than k acts alike
+    runs_in = _k_ascent(k).findall
 
-    def descend(
-        depth: int, height: int, run: int, key: int, stop: int, axis: list, frontier: dict | None
-    ) -> None:
-        if depth == stop:
-            if frontier is not None:
-                frontier[height, run].append(key)
-            return
-        depth += 1
-        if height < n - depth:  # room to rise and still return to 0
-            descend(depth, height + 1, run + (run < top), key + 1, stop, axis, frontier)
-        if run == k:  # a D or R step closes the up-run
-            key += closed
-        if height:
-            height -= 1
-            key += down
-        else:
-            key += right
-        if not height:
-            axis.append(key)
-        descend(depth, height, 0, key, stop, axis, frontier)
+    def key(word: str) -> int:
+        return (
+            word.count("U")
+            + word.count("D") * down
+            + word.count("R") * right
+            + len(runs_in(word)) * closed
+        )
 
-    axis = [0]  # key 0 is the empty path
-    frontier: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
-    descend(0, 0, 0, 0, half, axis, frontier)
-    tally = Counter(axis)
-    for (height, run), keys in frontier.items():
-        tail: list[int] = []
-        descend(half, height, run, 0, n, tail, None)
-        for key in keys:
-            tally.update(map(key.__add__, tail))
+    tally = Counter(key(word) for m in range(half + 1) for word in _ddp_words(m))
+    # by height, then by trailing up-run: the keys of the prefixes there
+    frontier: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
+    for prefix, height in _moves(0, half, n, True):
+        body = prefix.rstrip("U")  # each of its up-runs is closed by a D or an R
+        run = len(prefix) - len(body)
+        frontier[height][min(run, top)].append(key(body) + run)
+    for height, groups in frontier.items():
+        words = [
+            word
+            for steps in range(max(height, 1), n - half + 1)
+            for word in _suffixes(height, steps, True)
+        ]
+        for run, keys in groups.items():
+            lead = "U" * run
+            tail = [key(lead + word) - run for word in words]
+            for start in keys:
+                tally.update(map(start.__add__, tail))
     rows = [[0, 0, 0, 0, [0] * (m // 2 + 1)] for m in range(n + 1)]
-    for key, count in tally.items():
-        runs, key = divmod(key, closed)
-        rights, key = divmod(key, right)
-        downs, ups = divmod(key, down)
+    for packed, count in tally.items():
+        runs, packed = divmod(packed, closed)
+        rights, packed = divmod(packed, right)
+        downs, ups = divmod(packed, down)
         row = rows[ups + downs + rights]
         row[0] += count * (not rights)  # an R-free DDP is a Dyck path
         row[1] += ups * count

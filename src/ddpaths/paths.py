@@ -39,8 +39,13 @@ _ALPHABET = frozenset("UDR")
 _UP_RUN = re.compile(r"U+")
 
 
-# a maximal up-run of exactly one U; a literal run, not U{1}: the regex engine matches it faster
-_ONE_ASCENT = re.compile("(?<!U)U(?!U)")
+def _k_ascent(k: int) -> re.Pattern[str]:
+    """A maximal up-run of exactly ``k`` U steps; a literal run, not U{k}: the regex engine
+    matches it faster."""
+    return re.compile(f"(?<!U){'U' * k}(?!U)")
+
+
+_ONE_ASCENT = _k_ascent(1)
 
 
 class PathClass(Enum):

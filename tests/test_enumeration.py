@@ -145,6 +145,15 @@ class TestGenerators:
         assert {steps for steps, _ in built} == {13}
         assert sum(len(_suffixes(h, 13, True)) for h in range(14)) == 2**13
 
+    def test_suffixes_end_on_the_axis(self):
+        # one step cannot bring height 2 back to the axis, so there is no such suffix
+        assert _suffixes(2, 1, True) == []
+        for flat in (True, False):
+            for height in range(9):
+                for steps in range(9):
+                    for word in _suffixes(height, steps, flat):
+                        assert height + word.count("U") == word.count("D"), (height, word)
+
     @pytest.mark.parametrize("flat", [True, False], ids=["ddp", "dyck"])
     def test_short_suffixes_keep_the_order(self, monkeypatch, flat):
         # the join beyond the cap, moved down to n = 12 by shortening the suffixes
@@ -273,12 +282,6 @@ class TestTotals:
         # the CSV header names the JSON keys, column by column
         assert CSV_HEADER.split(",") == list(rows[0].to_json_dict())
 
-    # each half of the walk recurses once per step, and a raised cap meets the bound of half
-    # the interpreter's recursion limit
-    def test_walk_beyond_the_recursion_limit_is_refused(self):
-        with pytest.raises(ValueError, match="^length 1200 is too long for the brute-force walk"):
-            totals_brute(1200, cap=1200)
-
     def test_one_cached_walk_per_length(self, walks):
         totals_brute(16)
         assert walks == [(16, 1)]
@@ -361,11 +364,17 @@ class TestKAscentTotal:
 
 
 class TestWalk:
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    # k = 4..6 reach the k + 1 cap on runs that span the split at n // 2
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_rows_against_the_word_scan(self, k):
         expected = oracle_rows(16, k)
         for n in range(17):
             assert _walk(n, k) == expected[: n + 1], n
+
+    # no run is k = n + 1 long, so each histogram sits at t = 0
+    @pytest.mark.parametrize("n", range(13))
+    def test_rows_for_a_run_longer_than_every_path(self, n):
+        assert _walk(n, n + 1) == oracle_rows(n, n + 1)
 
     # the split sits at n // 2, so walks of both parities must agree on every shared row
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -387,8 +396,10 @@ class TestWalk:
         assert _walk(2, 1) == [empty, (0, 0, 0, 1, (1,)), (1, 1, 1, 2, (1, 1))]
         assert _walk(2, 2)[2] == (1, 1, 1, 2, (2, 0))
 
-    def test_the_stack_stays_half_deep(self):
-        # the prefix and each suffix descent are about n / 2 frames deep, one after the other
+    def test_the_stack_stays_flat(self):
+        # the walk reads the explicit stack of _moves and recurses nowhere, so its depth does
+        # not grow with n; the deepest chain is the tally's Counter -> update -> key generator
+        # -> _ddp_words -> _suffixes -> its list comprehension -> _moves, under _walk
         depth = deepest = 0
 
         def profile(frame, event, arg):
@@ -405,7 +416,7 @@ class TestWalk:
             _walk(22, 1)
         finally:
             sys.setprofile(hook)
-        assert deepest <= 22 // 2 + 4
+        assert deepest <= 8
 
     def test_memory(self):
         tracemalloc.start()

@@ -142,6 +142,41 @@ def test_modules_use_every_name_they_import():
     assert not unused
 
 
+def _recursive_functions(source: str) -> list[str]:
+    """Each function whose body calls the function's own name."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    ]
+
+
+def test_recursion_scan_flags_a_recursive_function():
+    source = (
+        "def fact(n):\n    return n * fact(n - 1) if n else 1\n"
+        "def outer():\n    def inner(d):\n        inner(d + 1)\n    inner(0)\n"
+        "def flat(n):\n    return sum(range(n))\n"
+    )
+    assert _recursive_functions(source) == ["fact", "inner"]
+
+
+# brute force and the word stream walk explicit stacks, so no length meets the recursion limit
+def test_no_function_in_the_package_recurses():
+    src = ROOT / "src" / "ddpaths"
+    recursive = [
+        f"{path.stem}.{name}"
+        for path in sorted(src.glob("*.py"))
+        for name in _recursive_functions(path.read_text())
+    ]
+    assert not recursive
+
+
 def _foreign_imports(source: str) -> list[str]:
     """Top-level modules imported from outside the standard library and the package."""
     modules = []
