@@ -5,27 +5,30 @@ formula is consulted anywhere in this module.  That makes these functions
 the oracle against which the closed-form counters and the bijections are
 verified.
 
-One stack walker, ``_moves``, states the move rule, and it has two
-consumers, both joined at half depth; nothing here recurses.  ``_ddp_words``
+One stack walker, ``_moves``, states the move rule, and it has three
+consumers, each joined at half depth; nothing here recurses.  ``_ddp_words``
 streams the words, lexicographic under ``U < D < R`` so that streams are
 deterministic and golden-testable: the prefixes to depth n // 2, each
 followed by the list of suffixes from its height, built once; its memory is
 those suffix lists, about 2^(n/2) words.  Beyond the cap the suffixes stay
 13 steps long and the prefixes grow instead, so the lists never hold more
-than 2^13 words.  ``_walk`` reads the same prefixes and suffixes and keys
-each by its step counts: one walk to length n aggregates the step totals
-and the k-ascent histogram of every length 0..n.  Every brute-force count
-reads its cache, the package's only one.  A cap (default 26, about 10.4
-million words) guards against accidental enumeration blowups, and it is the
-only bound on length; every entry point that enumerates takes the cap as an
-argument.
+than 2^13 words; ``_join_depth`` states that depth once.
+``_ddp_one_ascents`` streams the same words, at the same depth, with their
+1-ascent starts: it matches each prefix and each listed suffix once rather
+than each word.  ``_walk`` reads prefixes of length n // 2 and their
+suffixes and keys each by its step counts: one walk to length n aggregates
+the step totals and the k-ascent histogram of every length 0..n.  Every
+brute-force count reads its cache, the package's only one.  A cap (default
+26, about 10.4 million words) guards against accidental enumeration
+blowups, and it is the only bound on length; every entry point that
+enumerates takes the cap as an argument.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from operator import add
 from typing import Iterator
 
@@ -109,23 +112,64 @@ def _require_ascent_length(k: int) -> None:
         raise ValueError(f"ascent length k must be >= 1, got {k}")
 
 
+def _join_depth(n: int) -> int:
+    """Where the word streams join prefixes to suffixes: n // 2, or n - 13 beyond the cap."""
+    return max(n // 2, n - _SUFFIX_STEPS)
+
+
 def _ddp_words(n: int, flat: bool = True) -> Iterator[str]:
     """All DDP words of length n, lexicographic under U < D < R.
 
     ``flat=False`` forbids R steps, which leaves the Dyck words (none for odd n).
-    Every prefix of length n // 2, or n - 13 beyond the cap, is followed by each
-    suffix of its height.  All prefixes have the same length, so (prefix, suffix)
-    order is word order.
+    Every prefix to the join depth is followed by each suffix of its height.  All
+    prefixes have the same length, so (prefix, suffix) order is word order.
     """
     if not flat and n % 2:
         return
-    half = max(n // 2, n - _SUFFIX_STEPS)
+    half = _join_depth(n)
     tails: dict[int, list[str]] = {}  # by height, the suffixes from depth half
     for prefix, height in _moves(0, half, n, flat):
         tail = tails.get(height)
         if tail is None:
             tail = tails[height] = _suffixes(height, n - half, flat)
         yield from map(prefix.__add__, tail)
+
+
+def _ddp_one_ascents(n: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Each DDP word of length n with the starts of its 1-ascents, in ``_ddp_words`` order.
+
+    Each prefix is matched once, and each suffix once when its height's list is built,
+    its starts shifted by the join depth.  A word's starts are its prefix's followed by
+    its suffix's, except where a prefix ending in U meets the suffix inside one up-run:
+    the prefix's trailing lone U is a 1-ascent only before a D, and the suffix's lone U
+    at the seam never is one.  Suffixes from a height above 0 start with U or D, and the
+    U ones come first.
+    """
+    half = _join_depth(n)
+    ones_in = _k_ascent(1).finditer
+    # by height: the suffixes, their starts, their starts after a prefix that ends in U
+    # (less a lone U at the seam), and how many of them start with U.  Tuples are built
+    # from lists: CPython sizes a tuple built from a generator by a guess and cuts it
+    # down, and those cut tuples piled up in its free lists (1,387 one-element tuples
+    # after L5-bijection to n = 18, against 241 built from lists).
+    tails: dict[int, tuple] = {}
+    for prefix, height in _moves(0, half, n, True):
+        tail = tails.get(height)
+        if tail is None:
+            words = _suffixes(height, n - half, True)
+            starts = [tuple([m.start() + half for m in ones_in(word)]) for word in words]
+            rising = sum(word[:1] == "U" for word in words)
+            after_up = [ends[1:] if ends[:1] == (half,) else ends for ends in starts[:rising]]
+            tail = tails[height] = (words, starts, after_up + starts[rising:], rising)
+        words, starts, after_up, rising = tail
+        own = tuple([m.start() for m in ones_in(prefix)])
+        if prefix[-1:] != "U":
+            yield from zip(map(prefix.__add__, words), map(own.__add__, starts))
+            continue
+        # a lone U that ends the prefix is a 1-ascent only before a D
+        body = own[:-1] if own[-1:] == (half - 1,) else own
+        heads = chain(repeat(body, rising), repeat(own))
+        yield from zip(map(prefix.__add__, words), map(add, heads, after_up))
 
 
 def _moves(height: int, steps: int, room: int, flat: bool) -> Iterator[tuple[str, int]]:

@@ -44,6 +44,7 @@ from .bijections import (
 )
 from .enumeration import (
     DEFAULT_ENUMERATION_CAP,
+    _ddp_one_ascents,
     _ddp_words,
     _plain_words,
     count_ddp_dp,
@@ -61,7 +62,6 @@ from .formulas import (
     r_convolution,
     u_closed,
 )
-from .paths import _ONE_ASCENT
 
 __all__ = ["CheckResult", "VerificationReport", "CHECK_IDS", "verify_lemma", "verify_all"]
 
@@ -374,9 +374,8 @@ def _check_l5_bijection(max_n: int) -> dict | None:
         # negative offset has no such bit; it names no slot and is kept apart at bit ~at.
         seen: dict[str, int] = {}
         below: dict[str, int] = {}
-        for w in _ddp_words(m):
-            for match in _ONE_ASCENT.finditer(w):
-                pos = match.start()
+        for w, starts in _ddp_one_ascents(m):
+            for pos in starts:
                 word, at = _cut_ascent(w, pos)
                 masks = seen
                 try:
@@ -405,9 +404,8 @@ def _public_edge_mismatch(m: int) -> dict | None:
     """The first 1-ascent of length ``m`` after a D and the first after an R, through the
     public maps: each must round-trip, and its slot must read as verify renders it."""
     pending = set(_NAME_AFTER)
-    for w in _ddp_words(m):
-        for match in _ONE_ASCENT.finditer(w):
-            pos = match.start()
+    for w, starts in _ddp_one_ascents(m):
+        for pos in starts:
             if not pos or w[pos - 1] not in pending:
                 continue
             pending.remove(w[pos - 1])

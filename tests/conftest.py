@@ -62,6 +62,12 @@ def oracle_run_lengths(word: str) -> list[int]:
     return runs
 
 
+def oracle_one_ascent_starts(word: str) -> tuple[int, ...]:
+    """Where each up-run of ``word`` starts, kept for the runs of length 1."""
+    starts = [i for i, ch in enumerate(word) if ch == "U" and word[i - 1 : i] != "U"]
+    return tuple(i for i, run in zip(starts, oracle_run_lengths(word)) if run == 1)
+
+
 def oracle_k_ascents(word: str, k: int) -> int:
     return sum(1 for r in oracle_run_lengths(word) if r == k)
 

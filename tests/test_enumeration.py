@@ -20,13 +20,14 @@ from ddpaths import (
     totals_brute,
 )
 from ddpaths import enumeration, verify_all
-from ddpaths.enumeration import CSV_HEADER, _ddp_words, _suffixes, _walk
+from ddpaths.enumeration import CSV_HEADER, _ddp_one_ascents, _ddp_words, _suffixes, _walk
 
 from conftest import (
     lex_key,
     oracle_ddp_words,
     oracle_dyck_words,
     oracle_k_ascents,
+    oracle_one_ascent_starts,
     oracle_one_ascents,
     oracle_plain_words,
 )
@@ -162,6 +163,40 @@ class TestGenerators:
         assert list(_ddp_words(12, flat)) == expected
         oracle = oracle_ddp_words(12) if flat else oracle_dyck_words(12)
         assert expected == sorted(oracle, key=lex_key)
+
+    @pytest.mark.parametrize("n", range(19))
+    def test_one_ascent_stream_against_run_lengths(self, n):
+        expected = [(w, oracle_one_ascent_starts(w)) for w in _ddp_words(n)]
+        assert list(_ddp_one_ascents(n)) == expected
+
+    def test_one_ascent_stream_seams_beyond_the_cap(self, monkeypatch):
+        # the join beyond the cap, moved down to n = 13 and 14 by shortening the suffixes to
+        # 6 steps, the fewest that let a prefix ending in UU meet a suffix starting with UU
+        monkeypatch.setattr(enumeration, "_SUFFIX_STEPS", 6)
+        seams = set()
+        for n in range(15):
+            expected = [(w, oracle_one_ascent_starts(w)) for w in _ddp_words(n)]
+            assert list(_ddp_one_ascents(n)) == expected, n
+            half = enumeration._join_depth(n)
+            if half > n // 2:
+                # the up-runs that meet at the join, each counted up to 2
+                for w, _ in expected:
+                    prefix, suffix = w[:half], w[half:]
+                    ending = len(prefix) - len(prefix.rstrip("U"))
+                    leading = len(suffix) - len(suffix.lstrip("U"))
+                    seams.add((min(ending, 2), min(leading, 2)))
+        assert seams == set(itertools.product(range(3), repeat=2))
+
+    def test_one_ascent_stream_memory(self):
+        # one suffix list per height, 13 steps long beyond the cap, and a tuple per word
+        tracemalloc.start()
+        try:
+            for _ in itertools.islice(_ddp_one_ascents(40), 10**5):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("n", range(15))
     def test_dyck_matches_filter_oracle(self, n):
@@ -419,10 +454,12 @@ class TestWalk:
         assert deepest <= 8
 
     def test_memory(self):
+        # the suffix lists grow as 2**(n/2): 0.5 MiB at n = 18 is 2 MiB at n = 22; a walk
+        # that held its paths would need several MiB
         tracemalloc.start()
         try:
-            _walk(22, 1)
+            _walk(18, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 2**19

@@ -543,6 +543,27 @@ class TestFaultInjection:
             {"n": 3, "path": "RUD", "pos": 1, **detail},
         )
 
+    # the 1-ascent stream drops UD's only start, or gives UUDD a start at its 2-ascent
+    @pytest.mark.parametrize(
+        "word, starts, detail",
+        [
+            ("UD", (), {"n": 2, "missing": [("", "start")], "extra": []}),
+            ("UUDD", (0,), {"n": 4, "path": "UUDD", "pos": 0, "roundtrip": "UDDD"}),
+        ],
+        ids=["dropped", "added"],
+    )
+    def test_l5_bijection_stream_starts(self, monkeypatch, word, starts, detail):
+        stream = ddpaths.verify._ddp_one_ascents
+
+        def faulty(n):
+            for w, found in stream(n):
+                yield w, starts if w == word else found
+
+        monkeypatch.setattr(ddpaths.verify, "_ddp_one_ascents", faulty)
+        assert verify_lemma("L5-bijection", 10) == _failed(
+            "L5-bijection", L5_BIJECTION_RANGE.format(10), detail
+        )
+
     def test_l5_count_brute(self, monkeypatch):
         _shift_totals(monkeypatch, "one_ascents", at=7)
         ones = totals_brute(7).one_ascents
