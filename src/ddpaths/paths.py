@@ -61,13 +61,16 @@ class PathClass(Enum):
 class PathWord:
     """An immutable word over ``U``/``D``/``R``; the universal path object.
 
-    The empty word is a valid path of length 0.  Construction rejects any
-    other character, naming the first offending position.
+    The empty word is a valid path of length 0.  Construction rejects a word
+    that is not a ``str`` and any other character, naming the first offending
+    position.
     """
 
     word: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.word, str):
+            raise TypeError(f"a path word must be a str, not {type(self.word).__name__}")
         if not set(self.word) <= _ALPHABET:
             for i, ch in enumerate(self.word):
                 if ch not in _ALPHABET:

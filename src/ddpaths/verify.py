@@ -13,6 +13,10 @@ describes a range live in ``_CHECKS``; :func:`verify_lemma` alone turns a
 check's outcome into a :class:`CheckResult`, and :func:`verify_all` alone
 selects checks and builds a :class:`VerificationReport`.
 
+L1-, L3- and L5-bijection are one round-trip loop, :func:`_bijection_mismatch`,
+and one onto comparison, :func:`_onto_mismatch`, on bit masks of image offsets;
+each check supplies its cases, kernels, keys, codomain and public-edge check.
+
 Checks are independent and deterministic: the report for a given
 ``(ids, max_n)`` is identical across runs.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable
 
 from .bijections import (
@@ -124,27 +128,76 @@ def _first_mismatch(
     return None
 
 
-def _onto_mismatch(n: int, images: set, target: set) -> dict | None:
-    """Counterexample naming up to three missed and three stray elements, else ``None``."""
-    if images == target:
-        return None
-    return {"n": n, "missing": sorted(target - images)[:3], "extra": sorted(images - target)[:3]}
-
-
-def _words_onto_mismatch(
-    n: int, images: set[str], target: Callable[[], Iterable[str]]
+def _bijection_mismatch(
+    lengths: Iterable[int],
+    cases: Callable[[int], Iterable[tuple[str, Iterable[int]]]],
+    kernels: tuple[Callable[[str, int], tuple[str, int]], Callable[[str, int], str]],
+    keys: tuple[str | None, str | None, str | None],
+    codomain: Callable[[int], Iterable[tuple[str, int]]],
+    edge: Callable[[int, dict[str, int]], dict | None],
+    render: Callable[[str, int], object] = lambda word, at: word,
+    check: Callable[[str, str], dict | None] | None = None,
 ) -> dict | None:
-    """:func:`_onto_mismatch` against the distinct words of ``target()``, which streams them:
-    a set of them is built only for the counterexample."""
+    """First counterexample to a bijection at the lengths in ``lengths``, else ``None``.
+
+    Each word of ``cases(n)`` is cut at each of its starts ``pos``: the forward kernel
+    gives (image, offset), the backward kernel must give the word back, and ``check``
+    may name a further fault of (word, image); ``keys`` name the word, ``pos`` and the
+    image in that counterexample, ``None`` leaving one out.  Then come the onto
+    comparison with ``codomain`` and ``edge(n, images)``, which runs the public maps.
+    The kernels trust their words: every case is enumerated, and onto proves each image.
+    """
+    forward, backward = kernels
+    for n in lengths:
+        # image word -> bit mask of its offsets, not one pair per image.  The kernels are
+        # pure, so two cases with one (image, offset) get one word back and the later fails
+        # its round trip.  A negative offset has no bit and names no slot; it is kept apart.
+        images: dict[str, int] = {}
+        strays: list[tuple[str, int]] = []
+        for word, starts in cases(n):
+            for pos in starts:
+                image, at = forward(word, pos)
+                back = backward(image, at)
+                if back != word or check and check(word, image):
+                    fault = {"roundtrip": back} if back != word else check(word, image)
+                    named = zip(keys, (word, pos, image))
+                    return {"n": n, **{key: value for key, value in named if key}, **fault}
+                try:
+                    images[image] = images.get(image, 0) | 1 << at
+                except ValueError:  # at < 0
+                    strays.append((image, at))
+        mismatch = _onto_mismatch(n, images, strays, codomain, render) or edge(n, images)
+        if mismatch:
+            return mismatch
+    return None
+
+
+def _onto_mismatch(
+    n: int,
+    images: dict[str, int],
+    strays: list[tuple[str, int]],
+    codomain: Callable[[int], Iterable[tuple[str, int]]],
+    render: Callable[[str, int], object],
+) -> dict | None:
+    """Counterexample naming up to three missed and three stray (word, offset) pairs, each
+    shown by ``render``, else ``None``.  ``codomain(n)`` streams each word with the mask of
+    its offsets; it is streamed once, and sets are built only for a counterexample."""
     count = 0
-    for w in target():
-        if w not in images:
+    for word, mask in codomain(n):
+        if images.get(word) != mask:
             break
         count += 1
     else:
-        if count == len(images):
+        if count == len(images) and not strays:
             return None
-    return _onto_mismatch(n, images, set(target()))
+
+    def pairs(masks: dict[str, int]) -> set:
+        bits = range(max(masks.values(), default=0).bit_length())
+        return {render(w, at) for w, mask in masks.items() for at in bits if mask >> at & 1}
+
+    got = pairs(images) | {render(w, at) for w, at in strays}
+    want = pairs(dict(codomain(n)))
+    return {"n": n, "missing": sorted(want - got)[:3], "extra": sorted(got - want)[:3]}
 
 
 # the slot rule, stated here with its own letters, not taken from the kernels, so that the
@@ -161,33 +214,13 @@ def _offset_mask(word: str) -> int:
 _NAME_AFTER = {"D": "down", "R": "right"}
 
 
-def _masks_onto(n: int, masks: dict[str, int]) -> bool:
-    """Whether ``masks`` holds, for each DDP of length ``n``, exactly its offsets' mask."""
-    count = 0
-    for w in _ddp_words(n):
-        if masks.get(w) != _offset_mask(w):
-            return False
-        count += 1
-    return count == len(masks)
-
-
-def _mask_pairs(masks: dict[str, int]) -> set[tuple[str, int]]:
-    """Each (word, bit) pair set in ``masks``."""
-    return {(w, b) for w, mask in masks.items() for b in range(mask.bit_length()) if mask >> b & 1}
-
-
-def _offset_text(word: str, at: int) -> str:
-    """Offset ``at`` of ``word`` in the CLI's ``--slot`` syntax, or ``offset K`` if no slot."""
+def _slot_pair(word: str, at: int) -> tuple[str, str]:
+    """``word`` with offset ``at`` in the CLI's ``--slot`` syntax, or ``offset K`` if no slot."""
     try:
         slot = _slot_at(word, at)
     except (LookupError, ValueError):  # after a U, past the end, or negative
-        return f"offset {at}"
-    return _slot_text(slot)
-
-
-def _pair_texts(pairs: set[tuple[str, int]]) -> set[tuple[str, str]]:
-    """Each (word, offset) with the offset rendered by :func:`_offset_text`."""
-    return {(w, _offset_text(w, at)) for w, at in pairs}
+        return word, f"offset {at}"
+    return word, _slot_text(slot)
 
 
 def _check_l1_count(max_n: int) -> dict | None:
@@ -205,33 +238,30 @@ def _check_l1_count(max_n: int) -> dict | None:
 
 
 def _check_l1_bijection(max_n: int) -> dict | None:
-    # The kernels skip the public maps' scans: every input word is enumerated, and the
-    # onto comparison proves each image a DDP; the public edge sub-check runs the maps.
-    for n in range(max_n + 1):
-        images = set()
-        dips = None  # the first plain word that dips below the axis (its image has an R)
-        for w in _plain_words(n):
-            q = _reflect(w)
-            back = _unreflect(q)
-            if back != w:
-                return {"n": n, "plain": w, "image": q, "roundtrip": back}
-            images.add(q)
-            if dips is None and "R" in q:
-                dips = w, q
-        # a round trip on every plain word plus onto gives the DDP-side round trip
-        mismatch = _words_onto_mismatch(n, images, lambda: _ddp_words(n))
-        if not mismatch and dips:
-            mismatch = _public_maps_mismatch(n, "plain", *dips, plain_to_ddp, ddp_to_plain)
-        if mismatch:
-            return mismatch
-    return None
+    # a round trip on every plain word plus onto gives the DDP-side round trip
+    return _bijection_mismatch(
+        range(max_n + 1),
+        lambda n: zip(_plain_words(n), repeat((0,))),
+        (lambda word, pos: (_reflect(word), pos), lambda image, at: _unreflect(image)),
+        ("plain", None, "image"),
+        lambda n: zip(_ddp_words(n), repeat(1)),
+        lambda n, images: _public_maps_mismatch(
+            n, "plain", images, _unreflect, (plain_to_ddp, ddp_to_plain)
+        ),
+    )
 
 
 def _public_maps_mismatch(
-    n: int, key: str, word: str, image: str, forward: Callable, backward: Callable
+    n: int, key: str, images: Iterable[str], kernel: Callable, maps: tuple[Callable, Callable]
 ) -> dict | None:
-    """``word`` through the public maps: ``forward`` must give the kernel's ``image``, and
-    ``backward`` must bring that back to ``word``."""
+    """The first of ``images`` (in case order) that holds an R, with the word the backward
+    ``kernel`` takes it to, through the public ``maps``: the forward map must give that
+    image from the word, and the backward map must bring it back."""
+    image = next((q for q in images if "R" in q), None)
+    if image is None:
+        return None
+    word = kernel(image)
+    forward, backward = maps
     try:
         public = forward(word).word
         if public != image:
@@ -275,29 +305,20 @@ def _check_l3_recursion(max_n: int) -> dict | None:
 
 
 def _check_l3_bijection(max_n: int) -> dict | None:
-    # as in L1-bijection: kernels on enumerated words, then the public maps at the edge
-    for n in range(1, max_n + 1, 2):
-        images = set()
-        first = None  # the first word that ends in D, with its image
-        for w in _ddp_words(n):
-            if not w.endswith("D"):
-                continue
-            q = _trade_up(w)
-            back = _trade_right(q)
-            if back != w:
-                return {"n": n, "path": w, "image": q, "roundtrip": back}
-            if q.count("U") != w.count("U") - 1:
-                return {"n": n, "path": w, "image": q, "detail": "up count"}
-            images.add(q)
-            if first is None:
-                first = w, q
-        mismatch = _words_onto_mismatch(
-            n, images, lambda: (w for w in _ddp_words(n - 1) if "R" in w)
-        )
-        if not mismatch and first:
-            mismatch = _public_maps_mismatch(n, "path", *first, updown_forward, updown_inverse)
-        if mismatch:
-            return mismatch
+    # as in L1-bijection, and each image has one up step fewer than its word
+    mismatch = _bijection_mismatch(
+        range(1, max_n + 1, 2),
+        lambda n: ((w, (0,)) for w in _ddp_words(n) if w[-1] == "D"),
+        (lambda word, pos: (_trade_up(word), pos), lambda image, at: _trade_right(image)),
+        ("path", None, "image"),
+        lambda n: ((w, 1) for w in _ddp_words(n - 1) if "R" in w),
+        lambda n, images: _public_maps_mismatch(
+            n, "path", images, _trade_right, (updown_forward, updown_inverse)
+        ),
+        check=lambda w, q: w.count("U") - q.count("U") != 1 and {"detail": "up count"},
+    )
+    if mismatch:
+        return mismatch
     for k in range(1, _CATALAN_RANGE + 1):
         c_low = math.comb(2 * k, k - 1)
         if k * catalan(k) != c_low:
@@ -366,38 +387,15 @@ def _check_l4_closed(max_n: int) -> dict | None:
 
 
 def _check_l5_bijection(max_n: int) -> dict | None:
-    # The kernels skip the public maps' DDP scan: every input word is enumerated, and
-    # the onto comparison proves each image a length-(m-2) DDP with a real slot.
-    for m in range(2, max_n + 1):
-        # image word -> bit mask of the offsets it was cut at, bit ``at`` for offset at:
-        # one int per image word rather than one (word, offset) pair per image.  A
-        # negative offset has no such bit; it names no slot and is kept apart at bit ~at.
-        seen: dict[str, int] = {}
-        below: dict[str, int] = {}
-        for w, starts in _ddp_one_ascents(m):
-            for pos in starts:
-                word, at = _cut_ascent(w, pos)
-                masks = seen
-                try:
-                    bit = 1 << at
-                except ValueError:  # at < 0
-                    masks, bit = below, 1 << ~at
-                mask = masks.get(word, 0)
-                if mask & bit:
-                    detail = "duplicate (path, slot) image"
-                    return {"n": m, "path": w, "pos": pos, "detail": detail}
-                masks[word] = mask | bit
-                back = _paste_ascent(word, at)
-                if back != w:
-                    return {"n": m, "path": w, "pos": pos, "roundtrip": back}
-        if not _masks_onto(m - 2, seen) or below:
-            images = _mask_pairs(seen) | {(w, ~b) for w, b in _mask_pairs(below)}
-            expected = _mask_pairs({w: _offset_mask(w) for w in _ddp_words(m - 2)})
-            return _onto_mismatch(m, _pair_texts(images), _pair_texts(expected))
-        mismatch = _public_edge_mismatch(m)
-        if mismatch:
-            return mismatch
-    return None
+    return _bijection_mismatch(
+        range(2, max_n + 1),
+        _ddp_one_ascents,
+        (_cut_ascent, _paste_ascent),
+        ("path", "pos", None),
+        lambda m: ((w, _offset_mask(w)) for w in _ddp_words(m - 2)),
+        lambda m, images: _public_edge_mismatch(m),
+        _slot_pair,
+    )
 
 
 def _public_edge_mismatch(m: int) -> dict | None:

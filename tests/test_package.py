@@ -142,6 +142,44 @@ def test_modules_use_every_name_they_import():
     assert not unused
 
 
+def _dead_private_names(sources: list[str]) -> list[str]:
+    """Each module-level private function, class or constant that none of ``sources`` reads,
+    by name or as a module attribute."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
+    return [name for name in private if name not in read]
+
+
+def test_dead_helper_scan_flags_an_unread_private_name():
+    sources = [
+        "_USED = 1\n_DEAD: int = 2\n__all__ = []\n"
+        "def _helper():\n    return _USED\ndef _orphan():\n    pass\nclass _Gone:\n    pass\n",
+        "from .a import _helper\nprint(_helper(), a._ATTR)\n_ATTR = 3\n",
+    ]
+    assert _dead_private_names(sources) == ["_DEAD", "_orphan", "_Gone"]
+
+
+# a private helper that only its own definition names is left over from a refactor
+def test_every_private_name_is_read():
+    src = ROOT / "src" / "ddpaths"
+    assert not _dead_private_names([path.read_text() for path in sorted(src.glob("*.py"))])
+
+
 def _recursive_functions(source: str) -> list[str]:
     """Each function whose body calls the function's own name."""
     return [

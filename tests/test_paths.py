@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ddpaths import (
     PathClass,
+    PathWord,
     classify,
     is_dispersed_dyck,
     is_dyck,
@@ -36,6 +37,14 @@ class TestParse:
     def test_invalid_character_names_position(self):
         with pytest.raises(ValueError, match="position 1"):
             parse_path("UXD")
+
+    # a list or a tuple of letters passed the alphabet test and then failed deep inside re
+    @pytest.mark.parametrize("word", [["U", "D"], ("U", "D"), None, b"UD", 0])
+    def test_non_str_word_is_refused(self, word):
+        with pytest.raises(TypeError, match=f"must be a str, not {type(word).__name__}"):
+            PathWord(word)
+        with pytest.raises(TypeError, match="must be a str"):
+            parse_path(word)
 
     def test_lowercase_rejected(self):
         with pytest.raises(ValueError, match="position 0"):

@@ -175,37 +175,45 @@ def test_concurrent_runs_agree():
     assert all(r == serial for r in reports)
 
 
-def test_l5_bijection_visits_every_one_ascent(monkeypatch):
-    # one remove-kernel call per (path, 1-ascent) pair of every length in range
+def _odd_ends_in_down(n: int) -> int:
+    # an odd DDP ends in D or R, and those ending in R are the DDPs of length n - 1 plus an R
+    return central_binomial(n) - central_binomial(n - 1) if n % 2 else 0
+
+
+# one forward-kernel call per case: per plain word (L1), per odd DDP that ends in D (L3),
+# per (path, 1-ascent) pair (L5), at every length in range
+@pytest.mark.parametrize(
+    "check_id, kernel, cases",
+    [
+        ("L1-bijection", "_reflect", lambda n: math.comb(n, n // 2)),
+        ("L3-bijection", "_trade_up", _odd_ends_in_down),
+        ("L5-bijection", "_cut_ascent", lambda n: totals_brute(n).one_ascents),
+    ],
+    ids=["L1", "L3", "L5"],
+)
+def test_bijection_check_visits_every_case(monkeypatch, check_id, kernel, cases):
     calls = []
+    original = getattr(ddpaths.verify, kernel)
 
-    def counting(word, pos):
-        calls.append(word)
-        return _cut_ascent(word, pos)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(ddpaths.verify, "_cut_ascent", counting)
-    assert verify_lemma("L5-bijection", 10).passed
-    assert len(calls) == sum(totals_brute(m).one_ascents for m in range(2, 11))
-
-
-def test_l1_bijection_visits_every_plain_word(monkeypatch):
-    # one reflect-kernel call per plain word of every length in range
-    calls = []
-
-    def counting(word):
-        calls.append(word)
-        return _reflect(word)
-
-    monkeypatch.setattr(ddpaths.verify, "_reflect", counting)
-    assert verify_lemma("L1-bijection", 10).passed
-    assert len(calls) == sum(math.comb(n, n // 2) for n in range(11))
+    monkeypatch.setattr(ddpaths.verify, kernel, counting)
+    assert verify_lemma(check_id, 10).passed
+    assert len(calls) == sum(cases(n) for n in range(11))
 
 
-def test_l5_bijection_memory():
-    # one offset mask per image word: the (word, offset) pairs of n = 14 traced 2.8 MiB
+# one offset mask per image word, at each check's default range: the (word, offset) pairs
+# of L5 at n = 14 traced 2.8 MiB
+@pytest.mark.parametrize(
+    "check_id", ["L1-bijection", "L3-bijection", "L5-bijection"], ids=["L1", "L3", "L5"]
+)
+def test_bijection_check_memory(check_id):
+    spec = ddpaths.verify._CHECKS[check_id]
     tracemalloc.start()
     try:
-        assert ddpaths.verify._check_l5_bijection(14) is None
+        assert spec.run(spec.default_n) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -475,7 +483,8 @@ class TestFaultInjection:
         )
 
     def test_l5_bijection_duplicate_image(self, monkeypatch):
-        # RUD@1 takes the image of UDR@0, which comes first in the stream
+        # RUD@1 takes the image of UDR@0, which comes first in the stream; the paste kernel
+        # takes that image back to UDR, so RUD fails its round trip
         def cut(word, pos):
             return _cut_ascent("UDR", 0) if word == "RUD" else _cut_ascent(word, pos)
 
@@ -483,7 +492,7 @@ class TestFaultInjection:
         assert verify_lemma("L5-bijection", 10) == _failed(
             "L5-bijection",
             L5_BIJECTION_RANGE.format(10),
-            {"n": 3, "path": "RUD", "pos": 1, "detail": "duplicate (path, slot) image"},
+            {"n": 3, "path": "RUD", "pos": 1, "roundtrip": "UDR"},
         )
 
     def test_l5_bijection_onto(self, monkeypatch):
