@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
-from operator import add
+from operator import add, mul
 from typing import Iterator
 
 from .paths import PathWord, _k_ascent
@@ -312,20 +312,28 @@ def enumerate_plain(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Path
 def count_ddp_dp(n: int) -> int:
     """Count DDPs of length ``n`` by dynamic programming over (position, height).
 
-    After s steps only heights 0..min(s, n - s) can still return to the axis,
-    so the table holds just those: about n^2/4 cells in all, exact integers
-    throughout; independent of both the enumerator and the closed formula.
+    A DDP read backwards, with U and D swapped, is again a DDP, so the suffixes
+    of b steps that fall from height h to the axis are as many as the prefixes
+    of b steps that rise from the axis to h.  With a = n // 2 and b = n - a the
+    count is therefore the sum over h of f_a(h) * f_b(h), where f_s(h) counts
+    the s-step prefixes that end at height h: the rows run to step b only.
+    After s steps only heights 0..min(s, n - s) can still meet the other half,
+    so the table holds just those: about n^2/8 cells in all, exact integers no
+    larger than 2**b; independent of both the enumerator and the closed formula.
     """
     if n < 0:
         raise ValueError(f"path length must be non-negative, got {n}")
-    ways = [1]  # after 0 steps: height 0
-    for s in range(1, n + 1):
+    a = n // 2
+    ways = half = [1]  # after 0 steps: height 0
+    for s in range(1, n - a + 1):
         live = min(s, n - s)
         w = ways + [0, 0]  # heights past the last live one hold no paths
         # height 0 is reached by a right step from 0 or a down step from 1; height
         # h >= 1 by an up step from h - 1 or a down step from h + 1
         ways = [w[0] + w[1], *map(add, w[:live], w[2 : live + 2])]
-    return ways[0]
+        if s == a:
+            half = ways
+    return sum(map(mul, half, ways))
 
 
 def totals_brute(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> CountRow:

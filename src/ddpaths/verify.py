@@ -504,8 +504,8 @@ class _CheckSpec:
 
 _CLOSED_TAIL = f" (brute); 0 <= n <= {_CLOSED_RANGE} (closed forms)"
 
-# arithmetic limits: one run at the limit takes one to two seconds (Python 3.11, 2 Xeon
-# vCPUs); L4-closed takes 1.7-2.0 s at 2000 with its stream comparison, CONV 0.5-0.6 s at 500.
+# arithmetic limits: one run at the limit takes at most about two seconds (Python 3.11, 2 Xeon
+# vCPUs); L4-closed takes 1.7-2.0 s at 2000 with its stream comparison, CONV 0.05-0.1 s at 500.
 # L4-closed's limit lies above the length where central_binomial switches from math.comb to
 # the prime-factored product, so a run at its limit compares both routes with the stream.
 _CHECKS: dict[str, _CheckSpec] = {

@@ -248,8 +248,9 @@ class TestDpCount:
         assert count_ddp_dp(n) == len(oracle_ddp_words(n) if n <= 8 else words(enumerate_ddp(n)))
 
     def test_live_heights_bound_keeps_every_count(self):
-        # both parities: the table shrinks toward the end of an odd and an even walk alike
-        for n in range(61):
+        # both parities: an odd length takes one more step past the half row than an even
+        # one, and the table shrinks toward the join alike; n = 0 and 1 join at depth 0
+        for n in range(401):
             assert count_ddp_dp(n) == math.comb(n, n // 2), n
 
     @pytest.mark.parametrize("n", [1999, 2000])

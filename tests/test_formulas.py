@@ -1,6 +1,7 @@
 """Closed-form counters: spot values, identities at scale, and oracle equivalence."""
 
 import math
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -22,7 +23,8 @@ from ddpaths import (
     totals_closed,
     u_closed,
 )
-from ddpaths.formulas import _FACTOR_FROM
+from ddpaths import formulas
+from ddpaths.formulas import _FACTOR_FROM, _PRIME_CHUNK, _convolution, _factored_central_binomial
 
 
 class TestSpotValues:
@@ -77,10 +79,62 @@ class TestFactoredCentralBinomial:
     def test_matches_math_comb(self, n):
         assert central_binomial(n) == math.comb(n, n // 2)
 
+    @pytest.mark.parametrize("multiple", [1, 2, 3])
+    def test_where_the_large_primes_fill_a_chunk(self, multiple):
+        # bisect to a length whose count of large primes reaches the multiple of the chunk
+        # size that the one below it misses: there the last chunk is full or nearly empty
+        target = multiple * _PRIME_CHUNK
+        lo, hi = _FACTOR_FROM, 20000
+        assert _large_prime_count(lo) < target <= _large_prime_count(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _large_prime_count(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        for n in (hi - 1, hi, hi + 1):
+            assert central_binomial(n) == math.comb(n, n // 2), n
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_every_chunk_size_keeps_the_product(self, monkeypatch, chunk):
+        monkeypatch.setattr(formulas, "_PRIME_CHUNK", chunk)
+        for n in range(_FACTOR_FROM, _FACTOR_FROM + 16):
+            assert central_binomial(n) == math.comb(n, n // 2), n
+
+    def test_large_primes_memory(self):
+        # the primes above sqrt(n) are multiplied in chunks as the sieve yields them;
+        # listing all of them first traced 581 KiB here
+        tracemalloc.start()
+        try:
+            _factored_central_binomial(99998)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 2**10
+
     @pytest.mark.parametrize("n", [2.0, 3000.0])
     def test_non_int_rejected_on_both_sides(self, n):
         with pytest.raises(TypeError):
             central_binomial(n)
+
+
+def _large_prime_count(n):
+    """How many primes above sqrt(n) divide C(n, floor(n/2)); each divides it once."""
+    k = n // 2
+    return sum(
+        1
+        for p in range(math.isqrt(n) + 1, n + 1)
+        if all(p % d for d in range(2, math.isqrt(p) + 1)) and n // p - k // p - (n - k) // p
+    )
+
+
+class TestConvolutionFold:
+    """The folded self-convolution equals the sum over every k, written out unfolded."""
+
+    def test_matches_the_unfolded_sum(self):
+        bs = list(islice(central_binomials(), 600))
+        for n in range(601):
+            assert _convolution(n, bs) == sum(bs[k] * bs[n - k - 1] for k in range(n)), n
 
 
 class TestOracleEquivalence:
