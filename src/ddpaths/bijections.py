@@ -35,11 +35,18 @@ offsets: 0 for the start, ``i + 1`` after the down or right step at ``i``.  A
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
 from .formulas import central_binomial, dyck_count
-from .paths import _ONE_ASCENT, PathWord, _path_of, is_dispersed_dyck, is_plain_path
+from .paths import (
+    _ONE_ASCENT,
+    PathWord,
+    _Record,
+    _path_of,
+    _setattr,
+    is_dispersed_dyck,
+    is_plain_path,
+)
 
 __all__ = [
     "SlotKind",
@@ -83,22 +90,23 @@ def _is_index(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, slots=True)
-class SlotRef:
+class SlotRef(_Record):
     """An insertion point in a path; ``index`` is the 0-based step position, None for Start."""
 
-    kind: SlotKind
-    index: int | None = None
+    __slots__ = ("kind", "index")
 
-    def __post_init__(self) -> None:
-        index = self.index
+    def __init__(self, kind: SlotKind, index: int | None = None) -> None:
+        if not isinstance(kind, SlotKind):
+            raise TypeError(f"a slot kind must be a SlotKind, not {type(kind).__name__}")
         if index is not None and not _is_index(index):
             raise ValueError(f"a slot index must be an int, got {index!r}")
-        if self.kind is SlotKind.START:
+        if kind is SlotKind.START:
             if index is not None:
                 raise ValueError("a Start slot carries no step index")
         elif index is None or index < 0:
-            raise ValueError(f"a {self.kind.value} slot needs a step index >= 0")
+            raise ValueError(f"a {kind.value} slot needs a step index >= 0")
+        _setattr(self, "kind", kind)
+        _setattr(self, "index", index)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind.value, "index": self.index}
@@ -129,13 +137,15 @@ def _slot_text(slot: SlotRef) -> str:
     return name if slot.index is None else f"{name}:{slot.index}"
 
 
-@dataclass(frozen=True)
-class BijectionRecord:
+class BijectionRecord(_Record):
     """One application of a map: input word, output word, and the slot if one is involved."""
 
-    input: PathWord
-    output: PathWord
-    slot: SlotRef | None = None
+    __slots__ = ("input", "output", "slot")
+
+    def __init__(self, input: PathWord, output: PathWord, slot: SlotRef | None = None) -> None:
+        _setattr(self, "input", input)
+        _setattr(self, "output", output)
+        _setattr(self, "slot", slot)
 
     def to_json(self) -> str:
         return json.dumps(

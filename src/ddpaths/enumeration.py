@@ -27,12 +27,11 @@ enumerates takes the cap as an argument.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from operator import add, mul
 from typing import Iterator
 
-from .paths import PathWord, _k_ascent
+from .paths import PathWord, _Record, _k_ascent, _setattr
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -58,8 +57,7 @@ _COLUMNS = ("n", "dD", "dyck", "U", "D", "R", "A")
 CSV_HEADER = ",".join(_COLUMNS)
 
 
-@dataclass(frozen=True, slots=True)
-class CountRow:
+class CountRow(_Record):
     """Exact totals over all dispersed Dyck paths of one length.
 
     ``ddp`` counts the paths themselves, ``dyck`` the R-free ones, and
@@ -67,13 +65,18 @@ class CountRow:
     every path of this length.
     """
 
-    n: int
-    ddp: int
-    dyck: int
-    ups: int
-    downs: int
-    rights: int
-    one_ascents: int
+    __slots__ = ("n", "ddp", "dyck", "ups", "downs", "rights", "one_ascents")
+
+    def __init__(
+        self, n: int, ddp: int, dyck: int, ups: int, downs: int, rights: int, one_ascents: int
+    ) -> None:
+        _setattr(self, "n", n)
+        _setattr(self, "ddp", ddp)
+        _setattr(self, "dyck", dyck)
+        _setattr(self, "ups", ups)
+        _setattr(self, "downs", downs)
+        _setattr(self, "rights", rights)
+        _setattr(self, "one_ascents", one_ascents)
 
     def to_json_dict(self) -> dict:
         return {name: getattr(self, field) for name, field in zip(_COLUMNS, self.__slots__)}
@@ -82,8 +85,7 @@ class CountRow:
         return ",".join(str(getattr(self, field)) for field in self.__slots__)
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(_Record):
     """Histogram of 1-ascent counts over all DDPs of one length.
 
     ``row[t]`` is the number of paths with exactly ``t`` 1-ascents, so the
@@ -91,8 +93,11 @@ class DistributionTable:
     total.
     """
 
-    n: int
-    row: dict[int, int]
+    __slots__ = ("n", "row")
+
+    def __init__(self, n: int, row: dict[int, int]) -> None:
+        _setattr(self, "n", n)
+        _setattr(self, "row", row)
 
 
 def _require_enumerable(n: int, cap: int) -> None:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 __all__ = [
     "PathClass",
@@ -57,8 +57,55 @@ class PathClass(Enum):
     INVALID = "Invalid"
 
 
-@dataclass(frozen=True, slots=True)
-class PathWord:
+# a record's __init__ sets its fields through this name: a global call is faster than
+# looking up object.__setattr__ once per field
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Frozen value semantics over ``__slots__``, stated once for the package's records.
+
+    A record names its fields, in order, as ``__slots__`` and sets each in its own
+    ``__init__`` with ``_setattr``.  The rest is here: assignment raises
+    AttributeError, two records are equal when they are of one class and their fields are,
+    and the hash, the repr, ``__match_args__``, pickling and ``_replace`` read the same
+    fields.  It is what ``@dataclass(frozen=True)`` generates, without that module's import
+    of ``inspect``, which costs every run of the CLI about 1 MiB of peak memory.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def _replace(self, **changes: object) -> _Record:
+        """A copy with ``changes`` applied, built and checked by the record's own ``__init__``."""
+        return type(self)(**{**{name: getattr(self, name) for name in self.__slots__}, **changes})
+
+
+class PathWord(_Record):
     """An immutable word over ``U``/``D``/``R``; the universal path object.
 
     The empty word is a valid path of length 0.  Construction rejects a word
@@ -66,18 +113,19 @@ class PathWord:
     position.
     """
 
-    word: str = ""
+    __slots__ = ("word",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.word, str):
-            raise TypeError(f"a path word must be a str, not {type(self.word).__name__}")
-        if not set(self.word) <= _ALPHABET:
-            for i, ch in enumerate(self.word):
+    def __init__(self, word: str = "") -> None:
+        if not isinstance(word, str):
+            raise TypeError(f"a path word must be a str, not {type(word).__name__}")
+        if not set(word) <= _ALPHABET:
+            for i, ch in enumerate(word):
                 if ch not in _ALPHABET:
                     raise ValueError(
                         f"invalid step character {ch!r} at position {i}; "
                         "expected one of U, D, R"
                     )
+        _setattr(self, "word", word)
 
     def __len__(self) -> int:
         return len(self.word)
@@ -86,8 +134,7 @@ class PathWord:
         return self.word
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(_Record):
     """Aggregate step counts and the maximal-up-run decomposition of one path.
 
     ``ascent_runs`` lists the maximal up-run lengths in path order;
@@ -95,12 +142,23 @@ class PathStats:
     ``k_ascents.get(1, 0)`` is the path's number of 1-ascents.
     """
 
-    n: int
-    ups: int
-    downs: int
-    rights: int
-    ascent_runs: tuple[int, ...]
-    k_ascents: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("n", "ups", "downs", "rights", "ascent_runs", "k_ascents")
+
+    def __init__(
+        self,
+        n: int,
+        ups: int,
+        downs: int,
+        rights: int,
+        ascent_runs: tuple[int, ...],
+        k_ascents: dict[int, int] | None = None,
+    ) -> None:
+        _setattr(self, "n", n)
+        _setattr(self, "ups", ups)
+        _setattr(self, "downs", downs)
+        _setattr(self, "rights", rights)
+        _setattr(self, "ascent_runs", ascent_runs)
+        _setattr(self, "k_ascents", {} if k_ascents is None else k_ascents)
 
     @property
     def one_ascents(self) -> int:

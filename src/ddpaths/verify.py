@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .bijections import (
     _cut_ascent,
@@ -66,6 +65,7 @@ from .formulas import (
     r_convolution,
     u_closed,
 )
+from .paths import _Record, _setattr
 
 __all__ = ["CheckResult", "VerificationReport", "CHECK_IDS", "verify_lemma", "verify_all"]
 
@@ -76,14 +76,18 @@ _ASYM_POINTS = (1000, 10000)  # both even: the second-order term below holds at 
 _ASYM_C = math.sqrt(math.pi / 2) / 4
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """Outcome of one check: id, human-readable range, verdict, first counterexample."""
 
-    check_id: str
-    range_tested: str
-    passed: bool
-    counterexample: dict | None = None
+    __slots__ = ("check_id", "range_tested", "passed", "counterexample")
+
+    def __init__(
+        self, check_id: str, range_tested: str, passed: bool, counterexample: dict | None = None
+    ) -> None:
+        _setattr(self, "check_id", check_id)
+        _setattr(self, "range_tested", range_tested)
+        _setattr(self, "passed", passed)
+        _setattr(self, "counterexample", counterexample)
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,11 +98,17 @@ class CheckResult:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """All check results of one run; overall passes iff every check does."""
 
-    checks: list[CheckResult]
+    __slots__ = ("checks",)
+    # unlike the other records a report may be reassigned, and it holds a list: no hash
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, checks: list[CheckResult]) -> None:
+        self.checks = checks
 
     @property
     def overall(self) -> bool:
@@ -491,8 +501,7 @@ def _check_asym(max_n: int) -> dict | None:
     return None
 
 
-@dataclass(frozen=True)
-class _CheckSpec:
+class _CheckSpec(NamedTuple):
     run: Callable[[int], dict | None]  # first counterexample at the given range, or None
     default_n: int
     deep_n: int

@@ -84,13 +84,13 @@ def lex_key(word: str) -> list[int]:
 def scans(monkeypatch):
     """The words whose PathWord alphabet check runs, in order, while the test runs."""
     scanned = []
-    validate = PathWord.__post_init__
+    validate = PathWord.__init__
 
-    def recording(self):
-        scanned.append(self.word)
-        validate(self)
+    def recording(self, word=""):
+        scanned.append(word)
+        validate(self, word)
 
-    monkeypatch.setattr(PathWord, "__post_init__", recording)
+    monkeypatch.setattr(PathWord, "__init__", recording)
     return scanned
 
 

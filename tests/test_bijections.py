@@ -337,6 +337,14 @@ class TestAscentKernels:
         with pytest.raises(ValueError, match=f"a slot index must be an int, got {index!r}"):
             SlotRef(kind, index)
 
+    # a kind's value is not the kind: SlotRef("DownStep", 1) made ascent_insert fail later with
+    # a bare KeyError, and "Start" or None failed on a missing attribute
+    @pytest.mark.parametrize("kind,index", [("DownStep", 1), ("Start", None), (None, None)])
+    def test_slotref_refuses_a_kind_that_is_not_a_slot_kind(self, kind, index):
+        message = f"^a slot kind must be a SlotKind, not {type(kind).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            SlotRef(kind, index)
+
 
 @st.composite
 def _long_ddp_words(draw):

@@ -1,14 +1,33 @@
 """The package as a whole: its public surface, its version and its source layout."""
 
 import ast
+import os
+import pickle
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import ddpaths
-from ddpaths import bijections, enumeration, formulas, paths, verify
+from ddpaths import (
+    BijectionRecord,
+    CheckResult,
+    CountRow,
+    DistributionTable,
+    PathStats,
+    PathWord,
+    SlotKind,
+    SlotRef,
+    VerificationReport,
+    bijections,
+    enumeration,
+    formulas,
+    paths,
+    verify,
+)
+from ddpaths.verify import _CheckSpec
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -243,3 +262,149 @@ def test_modules_import_only_the_standard_library():
         for name in _foreign_imports(path.read_text())
     ]
     assert not foreign
+
+
+
+
+# dataclasses imports inspect, which brings ast, dis and tokenize: about 1 MiB of peak memory
+# and 10 ms of start-up for every run of the CLI, none of it used
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def _modules_loaded_by(statement: str) -> set[str]:
+    """The modules that ``statement`` adds to those a fresh interpreter has loaded at start."""
+    probe = f"import sys\nbare = set(sys.modules)\n{statement}\nprint(*set(sys.modules) - bare)"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(child.stdout.split())
+
+
+def test_import_scan_flags_the_introspection_modules():
+    assert INTROSPECTION <= _modules_loaded_by("import dataclasses")
+
+
+def test_the_cli_loads_no_introspection_module():
+    assert not INTROSPECTION & _modules_loaded_by("import ddpaths.cli")
+_SLOT = SlotRef(SlotKind.DOWN_STEP, 1)
+_SLOT_TEXT = "SlotRef(kind=<SlotKind.DOWN_STEP: 'DownStep'>, index=1)"
+_RESULT = CheckResult("THM1", "2 <= m <= 14", False, {"m": 3})
+_RESULT_TEXT = (
+    "CheckResult(check_id='THM1', range_tested='2 <= m <= 14', passed=False, "
+    "counterexample={'m': 3})"
+)
+
+
+def _record(cls, fields, values, short, text, frozen=True, hashable=True):
+    return pytest.param(cls, fields, values, short, text, frozen, hashable, id=cls.__name__)
+
+
+# each record: its fields in order, a value for each, the fewest arguments it takes, the repr
+# of the full record, and whether it is frozen and hashable
+RECORDS = [
+    _record(PathWord, ("word",), ("UD",), (), "PathWord(word='UD')"),
+    _record(
+        PathStats,
+        ("n", "ups", "downs", "rights", "ascent_runs", "k_ascents"),
+        (3, 1, 1, 1, (1,), {1: 1}),
+        (3, 1, 1, 1, (1,)),
+        "PathStats(n=3, ups=1, downs=1, rights=1, ascent_runs=(1,), k_ascents={1: 1})",
+        hashable=False,
+    ),
+    _record(SlotRef, ("kind", "index"), (SlotKind.DOWN_STEP, 1), (SlotKind.START,), _SLOT_TEXT),
+    _record(
+        BijectionRecord,
+        ("input", "output", "slot"),
+        (PathWord("UDUD"), PathWord("UD"), _SLOT),
+        (PathWord("UDUD"), PathWord("UD")),
+        "BijectionRecord(input=PathWord(word='UDUD'), output=PathWord(word='UD'), "
+        f"slot={_SLOT_TEXT})",
+    ),
+    _record(
+        CountRow,
+        ("n", "ddp", "dyck", "ups", "downs", "rights", "one_ascents"),
+        (2, 2, 1, 1, 1, 2, 1),
+        (2, 2, 1, 1, 1, 2, 1),
+        "CountRow(n=2, ddp=2, dyck=1, ups=1, downs=1, rights=2, one_ascents=1)",
+    ),
+    _record(
+        DistributionTable,
+        ("n", "row"),
+        (2, {0: 1, 1: 1}),
+        (2, {0: 1, 1: 1}),
+        "DistributionTable(n=2, row={0: 1, 1: 1})",
+        hashable=False,
+    ),
+    _record(
+        CheckResult,
+        ("check_id", "range_tested", "passed", "counterexample"),
+        ("THM1", "2 <= m <= 14", False, {"m": 3}),
+        ("THM1", "2 <= m <= 14", False),
+        _RESULT_TEXT,
+        hashable=False,
+    ),
+    _record(
+        VerificationReport,
+        ("checks",),
+        ([_RESULT],),
+        ([_RESULT],),
+        f"VerificationReport(checks=[{_RESULT_TEXT}])",
+        frozen=False,
+        hashable=False,
+    ),
+    _record(
+        _CheckSpec,
+        ("run", "default_n", "deep_n", "range_text", "max_n"),
+        (len, 14, 22, "0 <= n <= {n}", 2000),
+        (len, 14, 22, "0 <= n <= {n}"),
+        "_CheckSpec(run=<built-in function len>, default_n=14, deep_n=22, "
+        "range_text='0 <= n <= {n}', max_n=2000)",
+    ),
+]
+
+# what an omitted trailing field defaults to
+_DEFAULTS = {
+    "word": "",
+    "k_ascents": {},
+    "index": None,
+    "slot": None,
+    "counterexample": None,
+    "max_n": None,
+}
+
+
+@pytest.mark.parametrize("cls,fields,values,short,text,frozen,hashable", RECORDS)
+def test_record_behaviour_is_pinned(cls, fields, values, short, text, frozen, hashable):
+    """Construction, equality, hashing, repr, assignment, matching and pickling of a record."""
+    record = cls(*values)
+    assert cls.__match_args__ == fields
+    assert [getattr(record, name) for name in fields] == list(values)
+    assert cls(**dict(zip(fields, values))) == record
+    assert repr(record) == text
+    defaulted = fields[len(short) :]
+    least = cls(*short)
+    assert [getattr(least, name) for name in defaulted] == [_DEFAULTS[n] for n in defaulted]
+    assert (least == record) == (short == values)
+    assert pickle.loads(pickle.dumps(record)) == record
+    if hashable:
+        assert hash(cls(*values)) == hash(record)
+        assert len({record, cls(*values)}) == 1
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], values[0])
+    else:
+        setattr(record, fields[0], values[0])
+    if not cls.__name__.startswith("_"):  # a public record is no tuple
+        assert record != tuple(values)
+        with pytest.raises(TypeError):
+            iter(record)
+        with pytest.raises(TypeError):
+            record[0]

@@ -1,6 +1,5 @@
 """Behavior of the verification harness itself."""
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -100,7 +99,7 @@ def test_verify_all_refuses_ranges_beyond_cap():
 def test_verify_all_refuses_the_whole_selection_before_running(monkeypatch):
     calls = []
     spec = ddpaths.verify._CHECKS["L4-closed"]
-    spy = dataclasses.replace(spec, run=lambda n: calls.append(n))
+    spy = spec._replace(run=lambda n: calls.append(n))
     monkeypatch.setitem(ddpaths.verify._CHECKS, "L4-closed", spy)
     with pytest.raises(ValueError, match="THM1 is oracle-backed; max_n 30 exceeds"):
         verify_all(ids=["L4-closed", "THM1"], max_n=30)
@@ -111,7 +110,7 @@ def test_arithmetic_checks_refuse_ranges_beyond_their_limits(monkeypatch):
     calls = []
     for check_id in ("L4-closed", "CONV", "ASYM"):
         spec = ddpaths.verify._CHECKS[check_id]
-        spy = dataclasses.replace(spec, run=lambda n: calls.append(n))
+        spy = spec._replace(run=lambda n: calls.append(n))
         monkeypatch.setitem(ddpaths.verify._CHECKS, check_id, spy)
     with pytest.raises(ValueError, match="^L4-closed is arithmetic; max_n 2001 exceeds the limit"):
         verify_all(ids=["L4-closed", "ASYM"], max_n=2001)
@@ -302,7 +301,7 @@ class TestFaultInjection:
     def test_l4_streamed_row(self, monkeypatch):
         def shifted(bs):
             for row in _closed_rows(bs):
-                yield row if row.n != 8 else dataclasses.replace(row, one_ascents=0)
+                yield row if row.n != 8 else row._replace(one_ascents=0)
 
         monkeypatch.setattr(ddpaths.verify, "_closed_rows", shifted)
         assert verify_lemma("L4-closed", 10) == _failed(
@@ -700,6 +699,6 @@ def _shift_totals(monkeypatch, field, at):
         row = totals_brute(n, *args, **kwargs)
         if n != at:
             return row
-        return dataclasses.replace(row, **{field: getattr(row, field) + 1})
+        return row._replace(**{field: getattr(row, field) + 1})
 
     monkeypatch.setattr(ddpaths.verify, "totals_brute", shifted)
