@@ -58,14 +58,23 @@ from .verify import CHECK_IDS, verify_all
 
 __all__ = ["main", "build_parser"]
 
-# count stat -> (its field in a brute-force CountRow, its closed form)
-_STATS = {
-    "paths": ("ddp", central_binomial),
-    "dyck": ("dyck", dyck_count),
-    "up": ("ups", u_closed),
-    "down": ("downs", u_closed),
-    "right": ("rights", r_closed),
-    "one-ascents": ("one_ascents", a_closed),
+# (count stat, method) -> the route that computes it; a pair with no route has no entry.
+# Each route calls its counter by name, so a counter rebound in this module is the one called.
+_COUNT = {
+    ("paths", "closed"): lambda a: central_binomial(a.n),
+    ("paths", "dp"): lambda a: count_ddp_dp(a.n),
+    ("paths", "brute"): lambda a: totals_brute(a.n, cap=a.cap).ddp,
+    ("dyck", "closed"): lambda a: dyck_count(a.n),
+    ("dyck", "brute"): lambda a: totals_brute(a.n, cap=a.cap).dyck,
+    ("up", "closed"): lambda a: u_closed(a.n),
+    ("up", "brute"): lambda a: totals_brute(a.n, cap=a.cap).ups,
+    ("down", "closed"): lambda a: u_closed(a.n),
+    ("down", "brute"): lambda a: totals_brute(a.n, cap=a.cap).downs,
+    ("right", "closed"): lambda a: r_closed(a.n),
+    ("right", "brute"): lambda a: totals_brute(a.n, cap=a.cap).rights,
+    ("one-ascents", "closed"): lambda a: a_closed(a.n),
+    ("one-ascents", "brute"): lambda a: totals_brute(a.n, cap=a.cap).one_ascents,
+    ("k-ascents", "brute"): lambda a: k_ascent_total(a.n, a.k, cap=a.cap),
 }
 
 _MAPS = {
@@ -92,35 +101,17 @@ _FAMILIES = {
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    n, method = args.n, args.method
     if args.stat == "k-ascents":
         if args.k is None:
             raise ValueError("-k is required for stat k-ascents")
         _require_ascent_length(args.k)  # a bad k is named first, whatever the method
-        if method != "brute":
-            if args.k > 1:
-                raise ValueError(
-                    "no closed form is known for k-ascent totals with k > 1 "
-                    "(open problem); use --method brute"
-                )
-            raise ValueError(
-                "k-ascent totals are enumerated by brute force only; use "
-                "--method brute (the k = 1 closed form is stat one-ascents)"
-            )
-        print(k_ascent_total(n, args.k, cap=args.cap))
-        return 0
-    if args.k is not None:
+    elif args.k is not None:
         raise ValueError("-k only applies to stat k-ascents")
-    field, closed = _STATS[args.stat]
-    if method == "closed":
-        print(closed(n))
-        return 0
-    if method == "dp":
-        if field != "ddp":  # the DP counter counts paths only
-            raise ValueError(f"method dp only supports stat paths, not {args.stat}")
-        print(count_ddp_dp(n))
-        return 0
-    print(getattr(totals_brute(n, cap=args.cap), field))
+    route = _COUNT.get((args.stat, args.method))
+    if route is None:
+        methods = ", ".join(m for stat, m in _COUNT if stat == args.stat)
+        raise ValueError(f"stat {args.stat} has no method {args.method}; its methods: {methods}")
+    print(route(args))
     return 0
 
 
@@ -245,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="print one exact total for a given length")
     p.add_argument(
         "stat",
-        choices=[*_STATS, "k-ascents"],
+        choices=list(dict.fromkeys(stat for stat, _ in _COUNT)),
         help="which total to compute",
     )
     p.add_argument("n", type=int, help="path length")

@@ -212,15 +212,11 @@ def catalan(k: int) -> int:
 
 def dyck_count(n: int) -> int:
     """Number of Dyck paths of length ``n``; zero for odd ``n``."""
-    if n < 0:
-        raise ValueError(f"length must be non-negative, got {n}")
     return _dyck(n, central_binomial(n))
 
 
 def r_closed(n: int) -> int:
     """Total right steps over all DDPs of length ``n``: ``2**n - C(n, floor(n/2))``."""
-    if n < 0:
-        raise ValueError(f"length must be non-negative, got {n}")
     return _rights(n, central_binomial(n))
 
 
@@ -230,8 +226,6 @@ def u_closed(n: int) -> int:
     The division is exact for every ``n``; a remainder would mean the
     formula itself is wrong, so it is checked rather than assumed.
     """
-    if n < 0:
-        raise ValueError(f"length must be non-negative, got {n}")
     return _ups(n, central_binomial(n))
 
 

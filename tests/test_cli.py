@@ -153,6 +153,18 @@ class TestStreamedOutput:
         _assert_lines(out, [CSV_HEADER, *(totals_closed(k).to_csv() for k in range(n + 1))])
 
 
+# each count stat's methods, in the order its refusal names them
+_METHODS = {
+    "paths": "closed, dp, brute",
+    "dyck": "closed, brute",
+    "up": "closed, brute",
+    "down": "closed, brute",
+    "right": "closed, brute",
+    "one-ascents": "closed, brute",
+    "k-ascents": "brute",
+}
+
+
 class TestCount:
     @pytest.mark.parametrize(
         "stat,n,method,expected",
@@ -171,15 +183,24 @@ class TestCount:
         assert code == 0
         assert out == expected + "\n"
 
-    @pytest.mark.parametrize("stat", ["paths", "dyck", "up", "down", "right", "one-ascents"])
+    def test_the_table_has_one_route_per_pair(self):
+        assert list(ddpaths.cli._COUNT) == [
+            (stat, method) for stat, methods in _METHODS.items() for method in methods.split(", ")
+        ]
+
+    @pytest.mark.parametrize("stat", [s for s in _METHODS if s != "k-ascents"])
     @pytest.mark.parametrize("n", range(15))
     def test_closed_equals_brute(self, capsys, stat, n):
-        _, closed, _ = run_cli(capsys, "count", stat, str(n), "--method", "closed")
-        _, brute, _ = run_cli(capsys, "count", stat, str(n), "--method", "brute")
-        assert closed == brute
-        if stat == "paths":
-            _, dp, _ = run_cli(capsys, "count", stat, str(n), "--method", "dp")
-            assert dp == closed
+        outputs = {
+            method: run_cli(capsys, "count", stat, str(n), "--method", method)
+            for method in _METHODS[stat].split(", ")
+        }
+        assert len(outputs) >= 2
+        assert all(code == 0 for code, _, _ in outputs.values())
+        assert len({out for _, out, _ in outputs.values()}) == 1
+        if stat == "one-ascents":
+            k1 = run_cli(capsys, "count", "k-ascents", str(n), "-k", "1", "--method", "brute")
+            assert k1 == outputs["closed"]
 
     def test_k_ascents_brute(self, capsys):
         code, out, _ = run_cli(capsys, "count", "k-ascents", "4", "--method", "brute", "-k", "2")
@@ -187,10 +208,9 @@ class TestCount:
         assert out == "1\n"
 
     def test_k_ascents_closed_is_an_open_problem(self, capsys):
-        code, _, err = run_cli(capsys, "count", "k-ascents", "8", "-k", "2")
-        assert code == 2
-        assert "no closed form" in err
-        assert "open problem" in err
+        code, out, err = run_cli(capsys, "count", "k-ascents", "8", "-k", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: stat k-ascents has no method closed; its methods: brute\n"
 
     def test_k_ascents_requires_k(self, capsys):
         code, _, err = run_cli(capsys, "count", "k-ascents", "8", "--method", "brute")
@@ -210,9 +230,24 @@ class TestCount:
         assert "error: -k only applies to stat k-ascents" in err
 
     def test_dp_only_counts_paths(self, capsys):
-        code, _, err = run_cli(capsys, "count", "dyck", "4", "--method", "dp")
-        assert code == 2
-        assert "dp" in err
+        code, out, err = run_cli(capsys, "count", "dyck", "4", "--method", "dp")
+        assert (code, out) == (2, "")
+        assert err == "error: stat dyck has no method dp; its methods: closed, brute\n"
+
+    @pytest.mark.parametrize(
+        "stat,method,k_args",
+        [
+            (s, m, k_args)
+            for s in _METHODS
+            for m in ("closed", "dp", "brute")
+            if m not in _METHODS[s]
+            for k_args in ([("-k", "1"), ("-k", "2")] if s == "k-ascents" else [()])
+        ],
+    )
+    def test_every_missing_pair_is_refused(self, capsys, stat, method, k_args):
+        code, out, err = run_cli(capsys, "count", stat, "8", "--method", method, *k_args)
+        assert (code, out) == (2, "")
+        assert err == f"error: stat {stat} has no method {method}; its methods: {_METHODS[stat]}\n"
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "count", "paths", "30", "--method", "brute")

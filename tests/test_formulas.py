@@ -63,9 +63,11 @@ class TestSpotValues:
         assert dyck_count(6) == 5
 
     def test_negative_arguments_rejected(self):
-        for fn in (central_binomial, catalan, dyck_count, r_closed, u_closed, a_closed, r_convolution):
-            with pytest.raises(ValueError):
+        for fn in (central_binomial, dyck_count, r_closed, u_closed, a_closed, r_convolution):
+            with pytest.raises(ValueError, match=r"^length must be non-negative, got -1$"):
                 fn(-1)
+        with pytest.raises(ValueError, match=r"^index must be non-negative, got -1$"):
+            catalan(-1)
 
 
 class TestFactoredCentralBinomial:
