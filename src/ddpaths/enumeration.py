@@ -17,7 +17,9 @@ than 2^13 words; ``_join_depth`` states that depth once.
 1-ascent starts: it matches each prefix and each listed suffix once rather
 than each word.  ``_walk`` reads prefixes of length n // 2 and their
 suffixes and keys each by its step counts: one walk to length n aggregates
-the step totals and the k-ascent histogram of every length 0..n.  Every
+the step totals and the k-ascent histogram of every length 0..n.  It joins
+its halves by key counts: one product per pair of distinct prefix and suffix
+keys, not one count per path.  Every
 brute-force count reads its cache, the package's only one.  A cap (default
 26, about 10.4 million words) guards against accidental enumeration
 blowups, and it is the only bound on length; every entry point that
@@ -230,12 +232,15 @@ def _walk(n: int, k: int) -> list[_Row]:
     non-empty suffix from ``_suffixes``.  Which suffixes may follow depends only
     on the prefix's height, and what they add to the k-runs only on its trailing
     up-run (capped at k + 1, as a run can span the split).  So a prefix is keyed
-    without its trailing run, plus the run's ups, and filed by height and run;
-    each height's suffixes are listed once and keyed once per run, behind that
-    run and less its ups.  A prefix key plus a suffix key is the path's key.
-    Each path adds exactly one increment to the tally of its key, and the tally
-    is decoded into rows at the end.  Nothing recurses, so the cap is the only
-    bound on n.
+    without its trailing run, plus the run's ups, and counted by height and
+    run; each height's suffixes are listed once and keyed once per run, behind
+    that run and less its ups, into a count per key.  A prefix key plus a
+    suffix key is the path's key, so a prefix key held ``times`` times and a
+    suffix key held ``count`` times add ``times * count`` paths to the tally of
+    their sum: each path is counted once, as one (prefix, suffix) pair, and the
+    join costs one product per pair of distinct keys rather than one increment
+    per path.  The tally is decoded into rows at the end.  Nothing recurses, so
+    the cap is the only bound on n.
     """
     # a key is ups + downs * down + rights * right + runs * closed, each field below n + 1
     down, right, closed = n + 1, (n + 1) ** 2, (n + 1) ** 3
@@ -252,23 +257,24 @@ def _walk(n: int, k: int) -> list[_Row]:
         )
 
     tally = Counter(key(word) for m in range(half + 1) for word in _ddp_words(m))
-    # by height, then by trailing up-run: the keys of the prefixes there
-    frontier: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
+    # by height, then by trailing up-run: how many prefixes there have each key
+    frontier: dict[int, dict[int, Counter]] = defaultdict(lambda: defaultdict(Counter))
     for prefix, height in _moves(0, half, n, True):
         body = prefix.rstrip("U")  # each of its up-runs is closed by a D or an R
         run = len(prefix) - len(body)
-        frontier[height][min(run, top)].append(key(body) + run)
+        frontier[height][min(run, top)][key(body) + run] += 1
     for height, groups in frontier.items():
         words = [
             word
             for steps in range(max(height, 1), n - half + 1)
             for word in _suffixes(height, steps, True)
         ]
-        for run, keys in groups.items():
+        for run, starts in groups.items():
             lead = "U" * run
-            tail = [key(lead + word) - run for word in words]
-            for start in keys:
-                tally.update(map(start.__add__, tail))
+            ends = Counter([key(lead + word) - run for word in words])
+            for start, times in starts.items():
+                for end, count in ends.items():
+                    tally[start + end] += times * count
     rows = [[0, 0, 0, 0, [0] * (m // 2 + 1)] for m in range(n + 1)]
     for packed, count in tally.items():
         runs, packed = divmod(packed, closed)
@@ -362,4 +368,5 @@ def k_ascent_total(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Total number of maximal up-runs of exact length ``k`` over all DDPs of length ``n``."""
     _require_ascent_length(k)
     _require_enumerable(n, cap)
+    k = min(k, n // 2 + 1)  # a k-run takes k U and k D steps: every longer k reads all 0
     return sum(t * c for t, c in enumerate(_row(n, k)[-1]))

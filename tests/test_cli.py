@@ -207,6 +207,12 @@ class TestCount:
         assert code == 0
         assert out == "1\n"
 
+    def test_a_huge_k_counts_zero(self, capsys):
+        code, out, err = run_cli(
+            capsys, "count", "k-ascents", "10", "-k", "4294967295", "--method", "brute"
+        )
+        assert (code, out, err) == (0, "0\n", "")
+
     def test_k_ascents_closed_is_an_open_problem(self, capsys):
         code, out, err = run_cli(capsys, "count", "k-ascents", "8", "-k", "2")
         assert (code, out) == (2, "")

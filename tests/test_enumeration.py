@@ -10,16 +10,22 @@ import pytest
 
 from ddpaths import (
     PathClass,
+    a_closed,
+    central_binomial,
     classify,
     count_ddp_dp,
+    dyck_count,
     enumerate_ddp,
     enumerate_dyck,
     enumerate_plain,
+    enumeration,
     k_ascent_total,
     one_ascent_distribution,
+    r_closed,
     totals_brute,
+    u_closed,
+    verify_all,
 )
-from ddpaths import enumeration, verify_all
 from ddpaths.enumeration import CSV_HEADER, _ddp_one_ascents, _ddp_words, _suffixes, _walk
 
 from conftest import (
@@ -308,6 +314,23 @@ class TestTotals:
         with pytest.raises(ValueError, match="cap"):
             totals_brute(27)
 
+    def test_every_row_to_the_cap_matches_the_closed_forms(self, walks):
+        cap = enumeration.DEFAULT_ENUMERATION_CAP
+        for n in reversed(range(cap + 1)):  # one walk to the cap fills every shorter row
+            row = totals_brute(n)
+            assert (row.ddp, row.dyck, row.ups, row.downs, row.rights, row.one_ascents) == (
+                central_binomial(n),
+                dyck_count(n),
+                u_closed(n),
+                u_closed(n),
+                r_closed(n),
+                a_closed(n),
+            ), n
+        hist = one_ascent_distribution(cap).row
+        assert sum(hist.values()) == central_binomial(cap)
+        assert sum(t * c for t, c in hist.items()) == a_closed(cap)
+        assert walks == [(cap, 1)]
+
     def test_csv_and_json_rendering(self):
         rows = [totals_brute(3), totals_brute(4)]
         assert [row.to_csv() for row in rows] == ["3,3,0,2,2,5,2", "4,6,2,7,7,10,5"]
@@ -398,6 +421,11 @@ class TestKAscentTotal:
         with pytest.raises(ValueError, match="k must be >= 1"):
             k_ascent_total(4, 0)
 
+    # a k-run takes 2k steps, so k is read as at most n // 2 + 1 and no k-long pattern is built
+    def test_a_huge_k_reads_zero(self, walks):
+        assert k_ascent_total(10, 10**12) == 0
+        assert walks == [(10, 6)]
+
 
 class TestWalk:
     # k = 4..6 reach the k + 1 cap on runs that span the split at n // 2
@@ -420,7 +448,9 @@ class TestWalk:
             for m in range(n + 1):
                 assert rows[n][m] == rows[m][m], (n, m)
 
-    def test_one_increment_per_path(self):
+    def test_each_path_is_counted_once(self):
+        # the join adds a product of a prefix count and a suffix count per pair of keys;
+        # summed over the histogram, each length must still count each of its words once
         counts = [sum(hist) for *_, hist in _walk(18, 1)]
         assert counts == [sum(1 for _ in _ddp_words(m)) for m in range(19)]
 
@@ -434,8 +464,10 @@ class TestWalk:
 
     def test_the_stack_stays_flat(self):
         # the walk reads the explicit stack of _moves and recurses nowhere, so its depth does
-        # not grow with n; the deepest chain is the tally's Counter -> update -> key generator
-        # -> _ddp_words -> _suffixes -> its list comprehension -> _moves, under _walk
+        # not grow with n; two chains reach depth 8 under _walk: the tally of the short paths
+        # (Counter -> update -> key generator -> _ddp_words -> _suffixes -> its list
+        # comprehension -> _moves), and a process's first Counter over a list, whose update
+        # asks abc whether a list is a Mapping
         depth = deepest = 0
 
         def profile(frame, event, arg):
