@@ -135,7 +135,6 @@ def _cmd_totals(args: argparse.Namespace) -> int:
         raise ValueError(f"largest length must be non-negative, got {args.n}")
     if args.method == "brute":
         _require_enumerable(args.n, args.cap)  # refuse a length over the cap before any row
-        totals_brute(args.n, cap=args.cap)  # asked first, the top length's walk caches every row
         rows = (totals_brute(n, cap=args.cap) for n in range(args.n + 1))
     else:
         rows = islice(_closed_rows(central_binomials()), args.n + 1)

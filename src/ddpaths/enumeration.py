@@ -14,22 +14,24 @@ those suffix lists, about 2^(n/2) words.  Beyond the cap the suffixes stay
 13 steps long and the prefixes grow instead, so the lists never hold more
 than 2^13 words; ``_join_depth`` states that depth once.
 ``_ddp_one_ascents`` streams the same words, at the same depth, with their
-1-ascent starts: it matches each prefix and each listed suffix once rather
-than each word.  ``_walk`` reads prefixes of length n // 2 and their
-suffixes and keys each by its step counts: one walk to length n aggregates
-the step totals and the k-ascent histogram of every length 0..n.  It joins
+1-ascent starts.  ``_walk`` reads prefixes of length n // 2 and suffixes of
+the remaining steps, keys each by its step counts and its k-ascents, and
+aggregates the step totals and the k-ascent histogram of length n; it joins
 its halves by key counts: one product per pair of distinct prefix and suffix
-keys, not one count per path.  Every
-brute-force count reads its cache, the package's only one.  A cap (default
-26, about 10.4 million words) guards against accidental enumeration
-blowups, and it is the only bound on length; every entry point that
-enumerates takes the cap as an argument.
+keys, not one count per path.  Both joins read a prefix by one seam rule: its
+body, the prefix less its trailing up-run, and that run, capped where every
+longer run acts alike; each height's suffixes are matched or keyed once per
+capped run, not once per word.  Every brute-force count reads the rows'
+cache, one row per (n, k) and the package's only cache.  A cap (default 26,
+about 10.4 million words) guards against accidental enumeration blowups, and
+it is the only bound on length; every entry point that enumerates takes the
+cap as an argument.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import chain, combinations, repeat
+from itertools import combinations
 from operator import add, mul
 from typing import Iterator
 
@@ -145,38 +147,37 @@ def _ddp_words(n: int, flat: bool = True) -> Iterator[str]:
 def _ddp_one_ascents(n: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Each DDP word of length n with the starts of its 1-ascents, in ``_ddp_words`` order.
 
-    Each prefix is matched once, and each suffix once when its height's list is built,
-    its starts shifted by the join depth.  A word's starts are its prefix's followed by
-    its suffix's, except where a prefix ending in U meets the suffix inside one up-run:
-    the prefix's trailing lone U is a 1-ascent only before a D, and the suffix's lone U
-    at the seam never is one.  Suffixes from a height above 0 start with U or D, and the
-    U ones come first.
+    The seam rule of ``_walk``: a prefix splits into its body, the prefix less its trailing
+    up-run, and a lead of at most 2 U steps, that run capped where every longer run acts
+    alike.  The body's starts are matched once per prefix; each height's suffixes are
+    matched once per lead, behind that lead, their starts shifted back by its length.
     """
     half = _join_depth(n)
     ones_in = _k_ascent(1).finditer
-    # by height: the suffixes, their starts, their starts after a prefix that ends in U
-    # (less a lone U at the seam), and how many of them start with U.  Tuples are built
-    # from lists: CPython sizes a tuple built from a generator by a guess and cuts it
-    # down, and those cut tuples piled up in its free lists (1,387 one-element tuples
-    # after L5-bijection to n = 18, against 241 built from lists).
-    tails: dict[int, tuple] = {}
+    # by height: the suffixes from depth half and, by each lead no longer than the height,
+    # their starts.  All are built before the first word, so they do not interleave with
+    # the consumer's allocations: built height by height, a deep verify run's peak RSS read
+    # 0.11-0.25 MiB higher at four of six checkout paths and 0.1 MiB lower at two.  Equal
+    # starts share one tuple: the leads repeat most starts, and beyond the cap 19,428
+    # starts are 610 distinct tuples.  Tuples are built from lists: CPython sizes a tuple
+    # built from a generator by a guess and cuts it down, and those cut tuples piled up in
+    # its free lists (1,387 one-element tuples after L5-bijection to n = 18, against 241).
+    share = {}.setdefault
+    tails = {}
+    for height in range(n - half + 1):  # no prefix ends higher than the steps left
+        words = _suffixes(height, n - half, True)
+        seams = {}
+        for lead in ("", "U", "UU")[: height + 1]:
+            shift = half - len(lead)
+            found = [tuple([m.start() + shift for m in ones_in(lead + word)]) for word in words]
+            seams[lead] = [share(ends, ends) for ends in found]
+        tails[height] = words, seams
     for prefix, height in _moves(0, half, n, True):
-        tail = tails.get(height)
-        if tail is None:
-            words = _suffixes(height, n - half, True)
-            starts = [tuple([m.start() + half for m in ones_in(word)]) for word in words]
-            rising = sum(word[:1] == "U" for word in words)
-            after_up = [ends[1:] if ends[:1] == (half,) else ends for ends in starts[:rising]]
-            tail = tails[height] = (words, starts, after_up + starts[rising:], rising)
-        words, starts, after_up, rising = tail
-        own = tuple([m.start() for m in ones_in(prefix)])
-        if prefix[-1:] != "U":
-            yield from zip(map(prefix.__add__, words), map(own.__add__, starts))
-            continue
-        # a lone U that ends the prefix is a 1-ascent only before a D
-        body = own[:-1] if own[-1:] == (half - 1,) else own
-        heads = chain(repeat(body, rising), repeat(own))
-        yield from zip(map(prefix.__add__, words), map(add, heads, after_up))
+        words, seams = tails[height]
+        body = prefix.rstrip("U")
+        own = tuple([m.start() for m in ones_in(body)])
+        starts = seams[prefix[len(body) : len(body) + 2]]
+        yield from zip(map(prefix.__add__, words), map(own.__add__, starts))
 
 
 def _moves(height: int, steps: int, room: int, flat: bool) -> Iterator[tuple[str, int]]:
@@ -206,41 +207,41 @@ def _suffixes(height: int, steps: int, flat: bool) -> list[str]:
 _Row = tuple[int, int, int, int, tuple[int, ...]]
 
 
-# by k, the rows of the longest walk so far: a walk to n answers every later request
-# for a length m <= n, so a deep verify run, which asks for 23 lengths 202 times, walks
-# once; the totals, the 1-ascent histogram and k_ascent_total(n, 1) share the k = 1 rows
-_ROWS: dict[int, list[_Row]] = {}
+# by (n, k), the row of that length: a deep verify run asks for 23 lengths 201 times and
+# walks each once; the totals, the 1-ascent histogram and k_ascent_total(n, 1) share k = 1
+_ROWS: dict[tuple[int, int], _Row] = {}
 
 
 def _row(n: int, k: int) -> _Row:
-    rows = _ROWS.get(k)
-    if rows is None or len(rows) <= n:
-        rows = _ROWS[k] = _walk(n, k)
-    return rows[n]
+    row = _ROWS.get((n, k))
+    if row is None:
+        row = _ROWS[n, k] = _walk(n, k)
+    return row
 
 
-def _walk(n: int, k: int) -> list[_Row]:
-    """Aggregate over every DDP of each length 0..n, reading the words of ``_moves``.
+def _walk(n: int, k: int) -> _Row:
+    """Aggregate over every DDP of length n, reading the words of ``_moves``.
 
-    Row m is ``(dyck, ups, downs, rights, hist)``: the R-free path count, the
-    U/D/R step totals, and ``hist[t]``, the number of length-m paths with
-    exactly ``t`` maximal up-runs of length ``k``.
+    The row is ``(dyck, ups, downs, rights, hist)``: the R-free path count, the
+    U/D/R step totals, and ``hist[t]``, the number of paths with exactly ``t``
+    maximal up-runs of length ``k``.
 
-    A path's statistics pack into one integer key, base n + 1, counted from
-    its word.  A path of length m <= n // 2 is a word of ``_ddp_words(m)``.  A
-    longer one is a prefix of length n // 2 from ``_moves`` followed by a
-    non-empty suffix from ``_suffixes``.  Which suffixes may follow depends only
-    on the prefix's height, and what they add to the k-runs only on its trailing
-    up-run (capped at k + 1, as a run can span the split).  So a prefix is keyed
-    without its trailing run, plus the run's ups, and counted by height and
-    run; each height's suffixes are listed once and keyed once per run, behind
-    that run and less its ups, into a count per key.  A prefix key plus a
-    suffix key is the path's key, so a prefix key held ``times`` times and a
-    suffix key held ``count`` times add ``times * count`` paths to the tally of
-    their sum: each path is counted once, as one (prefix, suffix) pair, and the
-    join costs one product per pair of distinct keys rather than one increment
-    per path.  The tally is decoded into rows at the end.  Nothing recurses, so
-    the cap is the only bound on n.
+    A path's statistics pack into one integer key, base n + 1, counted from its
+    word: its ups, its downs, its rights and its k-runs.  Each step total is
+    counted, none derived from the others, so R + U + D = n * dD(n) stays a
+    measured fact.  A path is a prefix of n // 2 steps from ``_moves`` followed
+    by a suffix of the remaining steps from ``_suffixes``.  Which suffixes may
+    follow depends only on the prefix's height, and what they add to the k-runs
+    only on its trailing up-run (capped at k + 1, as a run can span the split).
+    So a prefix is keyed without its trailing run, plus the run's ups, and
+    counted by height and run; each height's suffixes are listed once and keyed
+    once per run, behind that run and less its ups, into a count per key.  A
+    prefix key plus a suffix key is the path's key, so a prefix key held
+    ``times`` times and a suffix key held ``count`` times add ``times * count``
+    paths to the tally of their sum: each path is counted once, as one (prefix,
+    suffix) pair, and the join costs one product per pair of distinct keys
+    rather than one increment per path.  Nothing recurses, so the cap is the
+    only bound on n.
     """
     # a key is ups + downs * down + rights * right + runs * closed, each field below n + 1
     down, right, closed = n + 1, (n + 1) ** 2, (n + 1) ** 3
@@ -249,44 +250,36 @@ def _walk(n: int, k: int) -> list[_Row]:
     runs_in = _k_ascent(k).findall
 
     def key(word: str) -> int:
-        return (
-            word.count("U")
-            + word.count("D") * down
-            + word.count("R") * right
-            + len(runs_in(word)) * closed
-        )
+        steps = word.count("U") + word.count("D") * down + word.count("R") * right
+        return steps + len(runs_in(word)) * closed
 
-    tally = Counter(key(word) for m in range(half + 1) for word in _ddp_words(m))
     # by height, then by trailing up-run: how many prefixes there have each key
     frontier: dict[int, dict[int, Counter]] = defaultdict(lambda: defaultdict(Counter))
     for prefix, height in _moves(0, half, n, True):
         body = prefix.rstrip("U")  # each of its up-runs is closed by a D or an R
         run = len(prefix) - len(body)
         frontier[height][min(run, top)][key(body) + run] += 1
+    tally = Counter()
     for height, groups in frontier.items():
-        words = [
-            word
-            for steps in range(max(height, 1), n - half + 1)
-            for word in _suffixes(height, steps, True)
-        ]
+        words = _suffixes(height, n - half, True)
         for run, starts in groups.items():
             lead = "U" * run
             ends = Counter([key(lead + word) - run for word in words])
             for start, times in starts.items():
                 for end, count in ends.items():
                     tally[start + end] += times * count
-    rows = [[0, 0, 0, 0, [0] * (m // 2 + 1)] for m in range(n + 1)]
+    dyck = ups = downs = rights = 0
+    hist = [0] * (n // 2 + 1)
     for packed, count in tally.items():
         runs, packed = divmod(packed, closed)
-        rights, packed = divmod(packed, right)
-        downs, ups = divmod(packed, down)
-        row = rows[ups + downs + rights]
-        row[0] += count * (not rights)  # an R-free DDP is a Dyck path
-        row[1] += ups * count
-        row[2] += downs * count
-        row[3] += rights * count
-        row[4][runs] += count
-    return [(dyck, ups, downs, rights, tuple(hist)) for dyck, ups, downs, rights, hist in rows]
+        steps_right, packed = divmod(packed, right)
+        steps_down, steps_up = divmod(packed, down)
+        dyck += count * (not steps_right)  # an R-free DDP is a Dyck path
+        ups += steps_up * count
+        downs += steps_down * count
+        rights += steps_right * count
+        hist[runs] += count
+    return dyck, ups, downs, rights, tuple(hist)
 
 
 def _plain_words(n: int) -> Iterator[str]:

@@ -65,7 +65,7 @@ from .formulas import (
     r_convolution,
     u_closed,
 )
-from .paths import _Record, _setattr
+from .paths import _Record, _setattr, one_ascent_positions
 
 __all__ = ["CheckResult", "VerificationReport", "CHECK_IDS", "verify_lemma", "verify_all"]
 
@@ -234,7 +234,6 @@ def _slot_pair(word: str, at: int) -> tuple[str, str]:
 
 
 def _check_l1_count(max_n: int) -> dict | None:
-    totals_brute(max_n)  # asked first, the top length's walk leaves every shorter row cached
     for n in range(max_n + 1):
         enumerated = totals_brute(n).ddp
         dp = count_ddp_dp(n)
@@ -412,8 +411,8 @@ def _public_edge_mismatch(m: int) -> dict | None:
     """The first 1-ascent of length ``m`` after a D and the first after an R, through the
     public maps: each must round-trip, and its slot must read as verify renders it."""
     pending = set(_NAME_AFTER)
-    for w, starts in _ddp_one_ascents(m):
-        for pos in starts:
+    for w in _ddp_words(m):  # lazily: both turn up within 230 words for every m <= 40
+        for pos in one_ascent_positions(w):
             if not pos or w[pos - 1] not in pending:
                 continue
             pending.remove(w[pos - 1])
@@ -514,7 +513,8 @@ class _CheckSpec(NamedTuple):
 _CLOSED_TAIL = f" (brute); 0 <= n <= {_CLOSED_RANGE} (closed forms)"
 
 # arithmetic limits: one run at the limit takes at most about two seconds (Python 3.11, 2 Xeon
-# vCPUs); L4-closed takes 1.7-2.0 s at 2000 with its stream comparison, CONV 0.05-0.1 s at 500.
+# vCPUs); L4-closed takes 1.05-1.4 s at 2000 end to end with its stream comparison, CONV
+# 0.05-0.1 s at 500.
 # L4-closed's limit lies above the length where central_binomial switches from math.comb to
 # the prime-factored product, so a run at its limit compares both routes with the stream.
 _CHECKS: dict[str, _CheckSpec] = {

@@ -1,9 +1,9 @@
 """Acceptance suite: the headline counting results reproduced at desk scale.
 
 Each criterion prints one ``[PASS]``/``[FAIL]`` line (visible with
-``pytest -s``) and then asserts.  The brute-force rows are cached across
-criteria, so the heavy enumeration work (every dispersed Dyck path up to
-length 22, about 1.4 million words) happens once for the whole suite.
+``pytest -s``) and then asserts.  The brute-force rows are cached by length,
+so the heavy enumeration work (every dispersed Dyck path up to length 22,
+about 1.4 million words) happens once per length for the whole suite.
 """
 
 import json

@@ -404,8 +404,8 @@ class TestPairDecomposition:
         assert r_pair_decomposition(4) == 10
 
     def test_matches_brute_force(self):
-        # n = 24 walks 2.7 million paths; that walk leaves every row up to 24 cached,
-        # so the recursion test below, odd lengths included, walks nothing new
+        # n = 24 walks 2.7 million paths; the rows stay cached, so the recursion test
+        # below walks only its odd lengths
         for n in range(2, 25, 2):
             assert r_pair_decomposition(n) == totals_brute(n).rights
 

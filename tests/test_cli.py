@@ -11,7 +11,7 @@ import pytest
 
 import ddpaths.cli
 import ddpaths.verify
-from ddpaths import a_closed, central_binomial, r_closed, r_convolution, totals_closed
+from ddpaths import a_closed, central_binomial, r_closed, r_convolution, totals_brute, totals_closed
 from ddpaths.cli import main
 from ddpaths.enumeration import CSV_HEADER
 from ddpaths.verify import CheckResult, VerificationReport
@@ -310,11 +310,22 @@ class TestTotals:
         _, brute, _ = run_cli(capsys, "totals", "8", "--method", "brute")
         assert closed == brute
 
-    def test_brute_walks_once(self, capsys, walks):
+    def test_brute_walks_each_length_once_in_order(self, capsys, monkeypatch, walks):
+        printed = []  # before each walk, the output since the one before it
+        walk = ddpaths.enumeration._walk
+
+        def noting(n, k):
+            printed.append(capsys.readouterr().out)
+            return walk(n, k)
+
+        monkeypatch.setattr(ddpaths.enumeration, "_walk", noting)
         code, out, _ = run_cli(capsys, "totals", "16", "--method", "brute")
         assert code == 0
-        assert len(out.splitlines()) == 18
-        assert walks == [(16, 1)]
+        assert walks == [(n, 1) for n in range(17)]
+        # each row prints before the next length is walked, row 0 first
+        lines = "".join(printed).splitlines()
+        assert lines == [CSV_HEADER] + [totals_brute(n).to_csv() for n in range(16)]
+        assert len(out.splitlines()) == 1
 
     def test_negative_length_rejected(self, capsys):
         code, out, err = run_cli(capsys, "totals", "-2")

@@ -106,6 +106,21 @@ class TestGenerators:
         stream = "\n".join(_ddp_words(n, flat)).encode()
         assert hashlib.sha256(stream).hexdigest() == digest
 
+    # the 1-ascent stream beyond the oracle's n <= 18: every pair at n = 20, and the first
+    # 10**5 at n = 27, past the cap, where the prefixes grow and the suffixes stay 13 steps
+    @pytest.mark.parametrize(
+        "n,pairs,digest",
+        [
+            (20, None, "c22d961677753cd2c41bac946f26031e348abec521b5c7817f492f9c675527df"),
+            (27, 10**5, "fd75f62f7fc3fa80c76ed8e89f3ddb4dc64086ad5e135d7b4928b5bd9f74df79"),
+        ],
+        ids=["20", "27-head"],
+    )
+    def test_golden_one_ascent_stream_digests(self, n, pairs, digest):
+        stream = itertools.islice(_ddp_one_ascents(n), pairs)
+        text = "\n".join(f"{word} {starts}" for word, starts in stream).encode()
+        assert hashlib.sha256(text).hexdigest() == digest
+
     def test_long_streams_start_lazily(self):
         # far beyond the interpreter's recursion limit; only the first word is built
         assert next(enumerate_ddp(1501, cap=1501)).word == "U" * 750 + "D" * 750 + "R"
@@ -194,7 +209,8 @@ class TestGenerators:
         assert seams == set(itertools.product(range(3), repeat=2))
 
     def test_one_ascent_stream_memory(self):
-        # one suffix list per height, 13 steps long beyond the cap, and a tuple per word
+        # the suffix lists of every height, 2**13 words in all beyond the cap, and their
+        # starts by lead, equal starts shared; and a tuple per word
         tracemalloc.start()
         try:
             for _ in itertools.islice(_ddp_one_ascents(40), 10**5):
@@ -316,7 +332,7 @@ class TestTotals:
 
     def test_every_row_to_the_cap_matches_the_closed_forms(self, walks):
         cap = enumeration.DEFAULT_ENUMERATION_CAP
-        for n in reversed(range(cap + 1)):  # one walk to the cap fills every shorter row
+        for n in range(cap + 1):
             row = totals_brute(n)
             assert (row.ddp, row.dyck, row.ups, row.downs, row.rights, row.one_ascents) == (
                 central_binomial(n),
@@ -329,7 +345,8 @@ class TestTotals:
         hist = one_ascent_distribution(cap).row
         assert sum(hist.values()) == central_binomial(cap)
         assert sum(t * c for t, c in hist.items()) == a_closed(cap)
-        assert walks == [(cap, 1)]
+        # one walk per length, and the histogram at the cap reads the cached row
+        assert walks == [(n, 1) for n in range(cap + 1)]
 
     def test_csv_and_json_rendering(self):
         rows = [totals_brute(3), totals_brute(4)]
@@ -348,14 +365,17 @@ class TestTotals:
             totals_brute(m)
             one_ascent_distribution(m)
             k_ascent_total(m, 1)
-        assert walks == [(16, 1)]
+        # the totals, the histogram and k = 1 share one row per length
+        assert walks == [(16, 1)] + [(m, 1) for m in range(16)]
         k_ascent_total(16, 2)
-        assert walks == [(16, 1), (16, 2)]
+        assert walks[16:] == [(15, 1), (16, 2)]
 
     def test_a_deep_verify_run_walks_once(self, walks):
         ids = ["L1-count", "L2-recursion", "L3-recursion", "L5-count", "THM1", "EQSTAR"]
         assert verify_all(ids=ids, deep=True).overall
-        assert [w for w in walks if w[1] == 1] == [(22, 1)]
+        # each (n, k) is walked once, however many checks ask for its row
+        assert len(walks) == len(set(walks))
+        assert {n for n, k in walks if k == 1} == set(range(23))
 
     def test_row_is_frozen(self):
         row = totals_brute(2)
@@ -433,58 +453,53 @@ class TestWalk:
     def test_rows_against_the_word_scan(self, k):
         expected = oracle_rows(16, k)
         for n in range(17):
-            assert _walk(n, k) == expected[: n + 1], n
+            assert _walk(n, k) == expected[n], n
 
     # no run is k = n + 1 long, so each histogram sits at t = 0
     @pytest.mark.parametrize("n", range(13))
     def test_rows_for_a_run_longer_than_every_path(self, n):
-        assert _walk(n, n + 1) == oracle_rows(n, n + 1)
-
-    # the split sits at n // 2, so walks of both parities must agree on every shared row
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_rows_do_not_depend_on_the_walk_length(self, k):
-        rows = [_walk(n, k) for n in range(17)]
-        for n in range(17):
-            for m in range(n + 1):
-                assert rows[n][m] == rows[m][m], (n, m)
+        assert _walk(n, n + 1) == oracle_rows(n, n + 1)[n]
 
     def test_each_path_is_counted_once(self):
         # the join adds a product of a prefix count and a suffix count per pair of keys;
         # summed over the histogram, each length must still count each of its words once
-        counts = [sum(hist) for *_, hist in _walk(18, 1)]
+        counts = [sum(_walk(m, 1)[-1]) for m in range(19)]
         assert counts == [sum(1 for _ in _ddp_words(m)) for m in range(19)]
 
     def test_shortest_walks(self):
-        empty = (1, 0, 0, 0, (1,))
-        assert _walk(0, 1) == [empty]
-        assert _walk(1, 1) == [empty, (0, 0, 0, 1, (1,))]
+        assert _walk(0, 1) == (1, 0, 0, 0, (1,))
+        assert _walk(1, 1) == (0, 0, 0, 1, (1,))
         # RR has no up-run, UD one 1-ascent
-        assert _walk(2, 1) == [empty, (0, 0, 0, 1, (1,)), (1, 1, 1, 2, (1, 1))]
-        assert _walk(2, 2)[2] == (1, 1, 1, 2, (2, 0))
+        assert _walk(2, 1) == (1, 1, 1, 2, (1, 1))
+        assert _walk(2, 2) == (1, 1, 1, 2, (2, 0))
 
     def test_the_stack_stays_flat(self):
         # the walk reads the explicit stack of _moves and recurses nowhere, so its depth does
-        # not grow with n; two chains reach depth 8 under _walk: the tally of the short paths
-        # (Counter -> update -> key generator -> _ddp_words -> _suffixes -> its list
-        # comprehension -> _moves), and a process's first Counter over a list, whose update
-        # asks abc whether a list is a Mapping
-        depth = deepest = 0
+        # not grow with n.  A tiny walk first warms what is cold only once per process (the
+        # regex cache, and abc's check of whether a list is a Mapping on the first Counter
+        # over a list), so the two walks measured see the same library frames
+        _walk(2, 1)
 
-        def profile(frame, event, arg):
-            nonlocal depth, deepest
-            if event == "call":
-                depth += 1
-                deepest = max(deepest, depth)
-            elif event == "return":
-                depth -= 1
+        def walk_depth(n):
+            depth = deepest = 0
 
-        hook = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            _walk(22, 1)
-        finally:
-            sys.setprofile(hook)
-        assert deepest <= 8
+            def profile(frame, event, arg):
+                nonlocal depth, deepest
+                if event == "call":
+                    depth += 1
+                    deepest = max(deepest, depth)
+                elif event == "return":
+                    depth -= 1
+
+            hook = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                _walk(n, 1)
+            finally:
+                sys.setprofile(hook)
+            return deepest
+
+        assert walk_depth(22) == walk_depth(10)
 
     def test_memory(self):
         # the suffix lists grow as 2**(n/2): 0.5 MiB at n = 18 is 2 MiB at n = 22; a walk

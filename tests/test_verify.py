@@ -1,13 +1,16 @@
 """Behavior of the verification harness itself."""
 
+import inspect
 import json
 import math
+import textwrap
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
 import ddpaths.bijections
+import ddpaths.enumeration
 import ddpaths.verify
 from ddpaths import (
     CHECK_IDS,
@@ -602,6 +605,22 @@ class TestFaultInjection:
             "EQSTAR",
             EQSTAR_RANGE.format(10),
             {"n": 4, "n*dD(n)": 4 * row.ddp, "R+U+D": row.rights + row.ups + row.downs + 1},
+        )
+
+    def test_eqstar_brute_walk_miscount(self, monkeypatch):
+        # a copy of the walk whose key counts each R as a D too: the step totals it measures
+        # must break R+U+D = n*dD(n) (at n = 1, the path R), so no total is derived from another
+        source = textwrap.dedent(inspect.getsource(ddpaths.enumeration._walk))
+        downs = 'word.count("D") * down'
+        assert downs in source
+        namespace = dict(vars(ddpaths.enumeration))
+        exec(source.replace(downs, '(word.count("D") + word.count("R")) * down'), namespace)
+        monkeypatch.setattr(ddpaths.enumeration, "_walk", namespace["_walk"])
+        monkeypatch.setattr(ddpaths.enumeration, "_ROWS", {})
+        row = totals_brute(1)
+        assert (row.ups, row.downs, row.rights) == (0, 1, 1)
+        assert verify_lemma("EQSTAR", 10) == _failed(
+            "EQSTAR", EQSTAR_RANGE.format(10), {"n": 1, "n*dD(n)": 1, "R+U+D": 2}
         )
 
     def test_eqstar_closed(self, monkeypatch):
