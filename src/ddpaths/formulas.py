@@ -13,6 +13,7 @@ leaves double range near n = 1024.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import compress, count, islice, tee
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -53,6 +54,8 @@ def central_binomial(n: int) -> int:
     """C(n, floor(n/2)): the number of dispersed Dyck paths of length ``n``."""
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
+    if n >= sys.maxsize:  # the sieve of _factored_central_binomial indexes n + 1 bytes
+        raise ValueError(f"C(n, floor(n/2)) needs n below sys.maxsize = {sys.maxsize}, got {n}")
     if n < _FACTOR_FROM:
         return math.comb(n, n // 2)
     return _factored_central_binomial(n)

@@ -13,6 +13,10 @@ describes a range live in ``_CHECKS``; :func:`verify_lemma` alone turns a
 check's outcome into a :class:`CheckResult`, and :func:`verify_all` alone
 selects checks and builds a :class:`VerificationReport`.
 
+Every equality of counts is one comparison of named routes, :func:`_first_mismatch`,
+and each doubling ``X(n) = 2*X(n-1)`` is one rule of it, :func:`_doubles`; of the
+checks, only ASYM, whose tolerances are on floats, has a loop of its own.
+
 L1-, L3- and L5-bijection are one round-trip loop, :func:`_bijection_mismatch`,
 and one onto comparison, :func:`_onto_mismatch`, on bit masks of image offsets;
 each check supplies its cases, kernels, keys, codomain and public-edge check.
@@ -123,19 +127,22 @@ class VerificationReport(_Record):
 
 
 def _first_mismatch(
-    ns: Iterable[int],
-    lhs: Callable[[int], object],
-    rhs: Callable[[int], object],
-    lhs_key: str,
-    rhs_key: str,
-    var: str = "n",
+    ns: Iterable[int], sides: dict[str, Callable[[int], object]], var: str = "n"
 ) -> dict | None:
-    """Counterexample at the first ``i`` in ``ns`` where ``lhs(i) != rhs(i)``, else ``None``."""
+    """Counterexample at the first ``i`` in ``ns`` where any route of ``sides`` differs from
+    the first, naming every route's value under its key, else ``None``."""
     for i in ns:
-        left, right = lhs(i), rhs(i)
-        if left != right:
-            return {var: i, lhs_key: left, rhs_key: right}
+        values = [route(i) for route in sides.values()]
+        if values.count(values[0]) != len(values):
+            return {var: i, **dict(zip(sides, values))}
     return None
+
+
+def _doubles(ns: Iterable[int], route: Callable[[int], int], name: str) -> dict | None:
+    """Counterexample at the first ``n`` in ``ns`` where ``route(n) != 2 * route(n - 1)``."""
+    return _first_mismatch(
+        ns, {f"{name}(n)": route, f"2*{name}(n-1)": lambda n: 2 * route(n - 1)}
+    )
 
 
 def _bijection_mismatch(
@@ -234,16 +241,15 @@ def _slot_pair(word: str, at: int) -> tuple[str, str]:
 
 
 def _check_l1_count(max_n: int) -> dict | None:
-    for n in range(max_n + 1):
-        enumerated = totals_brute(n).ddp
-        dp = count_ddp_dp(n)
-        closed = central_binomial(n)
-        if not enumerated == dp == closed:
-            return {"n": n, "enumerated": enumerated, "dp": dp, "closed": closed}
+    ns = range(max_n + 1)
+    paths = {
+        "enumerated": lambda n: totals_brute(n).ddp,
+        "dp": count_ddp_dp,
+        "closed": central_binomial,
+    }
     # the R-free paths are the Dyck paths, counted by the Catalan numbers
-    return _first_mismatch(
-        range(max_n + 1), lambda n: totals_brute(n).dyck, dyck_count, "enumerated dyck", "catalan"
-    )
+    dyck = {"enumerated dyck": lambda n: totals_brute(n).dyck, "catalan": dyck_count}
+    return _first_mismatch(ns, paths) or _first_mismatch(ns, dyck)
 
 
 def _check_l1_bijection(max_n: int) -> dict | None:
@@ -284,78 +290,65 @@ def _public_maps_mismatch(
 
 
 def _check_l2_recursion(max_n: int) -> dict | None:
-    return _first_mismatch(
-        range(2, max_n + 1, 2),
-        lambda n: totals_brute(n).rights,
-        lambda n: 2 * totals_brute(n - 1).rights,
-        "R(n)",
-        "2*R(n-1)",
-    )
+    return _doubles(range(2, max_n + 1, 2), lambda n: totals_brute(n).rights, "R")
 
 
 def _check_l2_decomposition(max_n: int) -> dict | None:
     return _first_mismatch(
         range(2, max_n + 1, 2),
-        r_pair_decomposition,
-        lambda n: totals_brute(n).rights,
-        "decomposition",
-        "brute",
+        {"decomposition": r_pair_decomposition, "brute": lambda n: totals_brute(n).rights},
     )
 
 
 def _check_l3_recursion(max_n: int) -> dict | None:
-    return _first_mismatch(
-        range(1, max_n + 1, 2),
-        lambda n: totals_brute(n).ups,
-        lambda n: 2 * totals_brute(n - 1).ups,
-        "U(n)",
-        "2*U(n-1)",
-    )
+    return _doubles(range(1, max_n + 1, 2), lambda n: totals_brute(n).ups, "U")
 
 
 def _check_l3_bijection(max_n: int) -> dict | None:
+    def c_low(k: int) -> int:
+        return math.comb(2 * k, k - 1)
+
+    def c_diff(k: int) -> int:
+        return math.comb(2 * k + 1, k) - math.comb(2 * k, k)
+
+    # the Catalan argument: two identities that each give C(2k,k-1)
+    ks = range(1, _CATALAN_RANGE + 1)
+    scaled = {"k*catalan(k)": lambda k: k * catalan(k), "C(2k,k-1)": c_low}
+    differenced = {"C(2k+1,k)-C(2k,k)": c_diff, "C(2k,k-1)": c_low}
     # as in L1-bijection, and each image has one up step fewer than its word
-    mismatch = _bijection_mismatch(
-        range(1, max_n + 1, 2),
-        lambda n: ((w, (0,)) for w in _ddp_words(n) if w[-1] == "D"),
-        (lambda word, pos: (_trade_up(word), pos), lambda image, at: _trade_right(image)),
-        ("path", None, "image"),
-        lambda n: ((w, 1) for w in _ddp_words(n - 1) if "R" in w),
-        lambda n, images: _public_maps_mismatch(
-            n, "path", images, _trade_right, (updown_forward, updown_inverse)
-        ),
-        check=lambda w, q: w.count("U") - q.count("U") != 1 and {"detail": "up count"},
+    return (
+        _bijection_mismatch(
+            range(1, max_n + 1, 2),
+            lambda n: ((w, (0,)) for w in _ddp_words(n) if w[-1] == "D"),
+            (lambda word, pos: (_trade_up(word), pos), lambda image, at: _trade_right(image)),
+            ("path", None, "image"),
+            lambda n: ((w, 1) for w in _ddp_words(n - 1) if "R" in w),
+            lambda n, images: _public_maps_mismatch(
+                n, "path", images, _trade_right, (updown_forward, updown_inverse)
+            ),
+            check=lambda w, q: w.count("U") - q.count("U") != 1 and {"detail": "up count"},
+        )
+        or _first_mismatch(ks, scaled, var="k")
+        or _first_mismatch(ks, differenced, var="k")
     )
-    if mismatch:
-        return mismatch
-    for k in range(1, _CATALAN_RANGE + 1):
-        c_low = math.comb(2 * k, k - 1)
-        if k * catalan(k) != c_low:
-            return {"k": k, "k*catalan(k)": k * catalan(k), "C(2k,k-1)": c_low}
-        if math.comb(2 * k + 1, k) - math.comb(2 * k, k) != c_low:
-            return {
-                "k": k,
-                "C(2k+1,k)-C(2k,k)": math.comb(2 * k + 1, k) - math.comb(2 * k, k),
-                "C(2k,k-1)": c_low,
-            }
-    return None
 
 
 def _stream_mismatch(max_n: int) -> dict | None:
     """The streamed B(0..max_n), then the R, U and A terms built on them, against point-wise."""
+    ns = range(max_n + 1)
     bs = list(islice(central_binomials(), max_n + 1))
     mismatch = _first_mismatch(
-        range(max_n + 1), bs.__getitem__, central_binomial, "stream", "central_binomial"
+        ns, {"stream": bs.__getitem__, "central_binomial": central_binomial}
     )
     if mismatch:  # a wrong B may make a term's numerator odd, so compare B first
         return mismatch
     rows = list(_closed_rows(bs))
     return _first_mismatch(
-        range(max_n + 1),
-        lambda n: [rows[n].rights, rows[n].ups, rows[n].one_ascents],
-        lambda n: [r_closed(n), u_closed(n), a_closed(n)],
-        "streamed R,U,A",
-        "point-wise R,U,A",
+        ns,
+        {
+            "streamed R,U,A": lambda n: [rows[n].rights, rows[n].ups, rows[n].one_ascents],
+            "point-wise R,U,A": lambda n: [r_closed(n), u_closed(n), a_closed(n)],
+        },
     )
 
 
@@ -367,28 +360,24 @@ def _check_l4_closed(max_n: int) -> dict | None:
         return 2 * r_closed(n - 1) + n * math.comb(n, k) - 4 * k * math.comb(n - 1, k)
 
     return (
-        _first_mismatch((1, 2), r_closed, lambda n: totals_brute(n).rights, "closed", "brute")
-        or _first_mismatch(
-            range(2, max_n + 1, 2), r_closed, lambda n: 2 * r_closed(n - 1), "R(n)", "2*R(n-1)"
-        )
-        or _first_mismatch(range(3, max_n + 1, 2), r_closed, odd_recursion, "R(n)", "recursion")
-        or _first_mismatch(
-            range(1, max_n + 1, 2), u_closed, lambda n: 2 * u_closed(n - 1), "U(n)", "2*U(n-1)"
-        )
+        _first_mismatch((1, 2), {"closed": r_closed, "brute": lambda n: totals_brute(n).rights})
+        or _doubles(range(2, max_n + 1, 2), r_closed, "R")
+        or _first_mismatch(range(3, max_n + 1, 2), {"R(n)": r_closed, "recursion": odd_recursion})
+        or _doubles(range(1, max_n + 1, 2), u_closed, "U")
         or _first_mismatch(
             range(1, max_n // 2 + 1),
-            lambda k: (k + 1) * math.comb(2 * k + 1, k),
-            lambda k: (2 * k + 1) * math.comb(2 * k, k),
-            "(k+1)*C(2k+1,k)",
-            "(2k+1)*C(2k,k)",
+            {
+                "(k+1)*C(2k+1,k)": lambda k: (k + 1) * math.comb(2 * k + 1, k),
+                "(2k+1)*C(2k,k)": lambda k: (2 * k + 1) * math.comb(2 * k, k),
+            },
             var="k",
         )
         or _first_mismatch(
             range(2, max_n + 1, 2),
-            lambda ell: math.comb(ell, ell // 2),
-            lambda ell: 2 * math.comb(ell - 1, ell // 2 - 1),
-            "C(l,l/2)",
-            "2*C(l-1,l/2-1)",
+            {
+                "C(l,l/2)": lambda ell: math.comb(ell, ell // 2),
+                "2*C(l-1,l/2-1)": lambda ell: 2 * math.comb(ell - 1, ell // 2 - 1),
+            },
             var="l",
         )
         or _stream_mismatch(max_n)
@@ -441,28 +430,22 @@ def _check_l5_count(max_n: int) -> dict | None:
 
     return _first_mismatch(
         range(2, max_n + 1),
-        lambda m: totals_brute(m).one_ascents,
-        brute_rhs,
-        "A(n)",
-        "dD+D+R at n-2",
+        {"A(n)": lambda m: totals_brute(m).one_ascents, "dD+D+R at n-2": brute_rhs},
     ) or _first_mismatch(
-        range(2, _CLOSED_RANGE + 3), a_closed, closed_rhs, "a_closed", "dD+U+R closed at n-2"
+        range(2, _CLOSED_RANGE + 3), {"a_closed": a_closed, "dD+U+R closed at n-2": closed_rhs}
     )
 
 
 def _check_thm1(max_n: int) -> dict | None:
     return _first_mismatch(
         range(2, max_n + 1),
-        a_closed,
-        lambda m: totals_brute(m).one_ascents,
-        "closed",
-        "brute",
+        {"closed": a_closed, "brute": lambda m: totals_brute(m).one_ascents},
         var="m",
     )
 
 
 def _check_conv(max_n: int) -> dict | None:
-    return _first_mismatch(range(max_n + 1), r_convolution, r_closed, "convolution", "closed")
+    return _first_mismatch(range(max_n + 1), {"convolution": r_convolution, "closed": r_closed})
 
 
 def _check_eqstar(max_n: int) -> dict | None:
@@ -471,13 +454,13 @@ def _check_eqstar(max_n: int) -> dict | None:
         return row.rights + row.ups + row.downs
 
     return _first_mismatch(
-        range(max_n + 1), lambda n: n * totals_brute(n).ddp, brute_steps, "n*dD(n)", "R+U+D"
+        range(max_n + 1), {"n*dD(n)": lambda n: n * totals_brute(n).ddp, "R+U+D": brute_steps}
     ) or _first_mismatch(
         range(_CLOSED_RANGE + 1),
-        lambda n: n * central_binomial(n),
-        lambda n: r_closed(n) + 2 * u_closed(n),
-        "n*dD(n) closed",
-        "R+2U closed",
+        {
+            "n*dD(n) closed": lambda n: n * central_binomial(n),
+            "R+2U closed": lambda n: r_closed(n) + 2 * u_closed(n),
+        },
     )
 
 

@@ -202,6 +202,13 @@ class TestCount:
             k1 = run_cli(capsys, "count", "k-ascents", str(n), "-k", "1", "--method", "brute")
             assert k1 == outputs["closed"]
 
+    @pytest.mark.parametrize("stat", [s for s in _METHODS if s != "k-ascents"])
+    def test_a_length_past_sys_maxsize_is_refused(self, capsys, stat):
+        code, out, err = run_cli(capsys, "count", stat, str(10**20))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: C(n, floor(n/2)) needs n below sys.maxsize")
+        assert err.count("\n") == 1
+
     def test_k_ascents_brute(self, capsys):
         code, out, _ = run_cli(capsys, "count", "k-ascents", "4", "--method", "brute", "-k", "2")
         assert code == 0
@@ -539,6 +546,12 @@ class TestAsymptotic:
         code, _, err = run_cli(capsys, "asymptotic", "1")
         assert code == 2
         assert "m >= 2" in err
+
+    def test_m_past_sys_maxsize_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "asymptotic", str(10**20))
+        assert code == 2
+        assert err.startswith("error: C(n, floor(n/2)) needs n below sys.maxsize")
+        assert err.count("\n") == 1
 
 
 class TestUsageErrors:

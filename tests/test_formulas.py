@@ -69,6 +69,13 @@ class TestSpotValues:
         with pytest.raises(ValueError, match=r"^index must be non-negative, got -1$"):
             catalan(-1)
 
+    def test_lengths_past_sys_maxsize_rejected(self):
+        # the sieve could not index n + 1 bytes; refused before anything is allocated
+        closed = (central_binomial, dyck_count, r_closed, u_closed, a_closed, totals_closed)
+        for fn in (*closed, catalan, asymptotic_ratio):
+            with pytest.raises(ValueError, match=r"^C\(n, floor\(n/2\)\) needs n below sys"):
+                fn(10**20)
+
 
 class TestFactoredCentralBinomial:
     """Above the cutover B(n) is multiplied out from primes; math.comb stays the oracle."""

@@ -234,6 +234,35 @@ def test_no_function_in_the_package_recurses():
     assert not recursive
 
 
+def _checks_with_loops(source: str) -> list[str]:
+    """Each ``_check_*`` function that holds a ``for`` or ``while`` statement of its own."""
+    loops = (ast.For, ast.AsyncFor, ast.While)
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_check_")
+        and any(isinstance(inner, loops) for inner in ast.walk(node))
+    ]
+
+
+def test_loop_scan_flags_a_check_with_a_loop():
+    source = (
+        "def _check_a(n):\n    for i in range(n):\n        pass\n"
+        "def _check_b(n):\n    def inner():\n        while True:\n            break\n"
+        "def _check_c(n):\n    return [i for i in range(n)]\n"
+        "def helper(n):\n    for i in range(n):\n        pass\n"
+    )
+    assert _checks_with_loops(source) == ["_check_a", "_check_b"]
+
+
+# every claim check compares its routes through verify's shared loops (_first_mismatch,
+# _doubles, _bijection_mismatch); ASYM alone compares floats against tolerances, not equalities
+def test_no_check_in_verify_loops_by_hand():
+    source = (ROOT / "src" / "ddpaths" / "verify.py").read_text()
+    assert _checks_with_loops(source) == ["_check_asym"]
+
+
 def _foreign_imports(source: str) -> list[str]:
     """Top-level modules imported from outside the standard library and the package."""
     modules = []

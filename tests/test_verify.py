@@ -42,6 +42,7 @@ from ddpaths.bijections import (
     _trade_up,
     _unreflect,
 )
+from ddpaths.enumeration import count_ddp_dp
 from ddpaths.formulas import _FACTOR_FROM, _closed_rows, _factored_central_binomial
 
 
@@ -341,6 +342,21 @@ class TestFaultInjection:
             "L1-count", "0 <= n <= 10", {"n": 5, "enumerated": 11, "dp": 10, "closed": 10}
         )
 
+    # each route of the three-way path count in turn, with the other two intact
+    @pytest.mark.parametrize(
+        "name, fn, counterexample",
+        [
+            ("count_ddp_dp", count_ddp_dp, {"enumerated": 10, "dp": 11, "closed": 10}),
+            ("central_binomial", central_binomial, {"enumerated": 10, "dp": 10, "closed": 11}),
+        ],
+        ids=["dp", "closed"],
+    )
+    def test_l1_count_route(self, monkeypatch, name, fn, counterexample):
+        _shift(monkeypatch, name, fn, at=5)
+        assert verify_lemma("L1-count", 10) == _failed(
+            "L1-count", "0 <= n <= 10", {"n": 5, **counterexample}
+        )
+
     def test_l1_count_dyck(self, monkeypatch):
         _shift_totals(monkeypatch, "dyck", at=4)
         assert verify_lemma("L1-count", 10) == _failed(
@@ -471,6 +487,18 @@ class TestFaultInjection:
             "L3-bijection",
             L3_BIJECTION_RANGE.format(10),
             {"k": 7, "k*catalan(k)": 7 * (catalan(7) + 1), "C(2k,k-1)": math.comb(14, 6)},
+        )
+
+    def test_l3_bijection_catalan_difference(self, monkeypatch):
+        # C(9,4) one too high breaks C(2k+1,k) - C(2k,k) = C(2k,k-1) at k = 4 alone
+        def comb(n, k):
+            return math.comb(n, k) + ((n, k) == (9, 4))
+
+        monkeypatch.setattr(ddpaths.verify, "math", SimpleNamespace(comb=comb))
+        assert verify_lemma("L3-bijection", 10) == _failed(
+            "L3-bijection",
+            L3_BIJECTION_RANGE.format(10),
+            {"k": 4, "C(2k+1,k)-C(2k,k)": 57, "C(2k,k-1)": 56},
         )
 
     def test_l5_bijection(self, monkeypatch):
