@@ -201,12 +201,9 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def _cmd_asymptotic(args: argparse.Namespace) -> int:
-    for m in args.m:
-        if m < 2:
-            raise ValueError(f"asymptotic comparison needs m >= 2, got {m}")
+    rows = [(m, *_log2_comparison(m)) for m in args.m]  # every m is refused before any output
     print("m,log2_exact,log2_estimate,ratio")
-    for m in args.m:
-        exact_log2, estimate_log2, ratio = _log2_comparison(m)
+    for m, exact_log2, estimate_log2, ratio in rows:
         print(f"{m},{exact_log2:.6f},{estimate_log2:.6f},{ratio:.8f}")
     return 0
 

@@ -9,7 +9,7 @@ One stack walker, ``_moves``, states the move rule, and it has three
 consumers, each joined at half depth; nothing here recurses.  ``_ddp_words``
 streams the words, lexicographic under ``U < D < R`` so that streams are
 deterministic and golden-testable: the prefixes to depth n // 2, each
-followed by the list of suffixes from its height, built once; its memory is
+followed by the list of suffixes from its height; its memory is
 those suffix lists, about 2^(n/2) words.  Beyond the cap the suffixes stay
 13 steps long and the prefixes grow instead, so the lists never hold more
 than 2^13 words; ``_join_depth`` states that depth once.
@@ -21,11 +21,13 @@ its halves by key counts: one product per pair of distinct prefix and suffix
 keys, not one count per path.  Both joins read a prefix by one seam rule: its
 body, the prefix less its trailing up-run, and that run, capped where every
 longer run acts alike; each height's suffixes are matched or keyed once per
-capped run, not once per word.  Every brute-force count reads the rows'
-cache, one row per (n, k) and the package's only cache.  A cap (default 26,
-about 10.4 million words) guards against accidental enumeration blowups, and
-it is the only bound on length; every entry point that enumerates takes the
-cap as an argument.
+capped run, not once per word.  All three build a height's suffix list once,
+and only for a height some prefix reaches: the streams when a prefix first
+reaches it, ``_walk`` once its prefixes are counted.  Every brute-force
+count reads the rows' cache, one row per (n, k) and the package's only
+cache.  A cap (default 26, about 10.4 million words) guards against
+accidental enumeration blowups, and it is the only bound on length; every
+entry point that enumerates takes the cap as an argument.
 """
 
 from __future__ import annotations
@@ -154,26 +156,21 @@ def _ddp_one_ascents(n: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     """
     half = _join_depth(n)
     ones_in = _k_ascent(1).finditer
-    # by height: the suffixes from depth half and, by each lead no longer than the height,
-    # their starts.  All are built before the first word, so they do not interleave with
-    # the consumer's allocations: built height by height, a deep verify run's peak RSS read
-    # 0.11-0.25 MiB higher at four of six checkout paths and 0.1 MiB lower at two.  Equal
-    # starts share one tuple: the leads repeat most starts, and beyond the cap 19,428
-    # starts are 610 distinct tuples.  Tuples are built from lists: CPython sizes a tuple
-    # built from a generator by a guess and cuts it down, and those cut tuples piled up in
-    # its free lists (1,387 one-element tuples after L5-bijection to n = 18, against 241).
-    share = {}.setdefault
-    tails = {}
-    for height in range(n - half + 1):  # no prefix ends higher than the steps left
-        words = _suffixes(height, n - half, True)
-        seams = {}
-        for lead in ("", "U", "UU")[: height + 1]:
-            shift = half - len(lead)
-            found = [tuple([m.start() + shift for m in ones_in(lead + word)]) for word in words]
-            seams[lead] = [share(ends, ends) for ends in found]
-        tails[height] = words, seams
+    # by height: the suffixes from depth half and, by each lead the height allows, their
+    # starts; tuples from lists, as tuples cut down from a generator piled up in free lists
+    tails: dict[int, tuple[list[str], dict[str, list[tuple[int, ...]]]]] = {}
     for prefix, height in _moves(0, half, n, True):
-        words, seams = tails[height]
+        tail = tails.get(height)
+        if tail is None:
+            words = _suffixes(height, n - half, True)
+            seams = {}
+            for lead in ("", "U", "UU")[: height + 1]:
+                shift = half - len(lead)
+                seams[lead] = [
+                    tuple([m.start() + shift for m in ones_in(lead + word)]) for word in words
+                ]
+            tail = tails[height] = words, seams
+        words, seams = tail
         body = prefix.rstrip("U")
         own = tuple([m.start() for m in ones_in(body)])
         starts = seams[prefix[len(body) : len(body) + 2]]

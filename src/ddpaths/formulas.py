@@ -50,12 +50,17 @@ _FACTOR_FROM = 1600
 _PRIME_CHUNK = 256
 
 
-def central_binomial(n: int) -> int:
-    """C(n, floor(n/2)): the number of dispersed Dyck paths of length ``n``."""
+def _require_length(n: int) -> None:
+    """Refuse a length the closed forms cannot take, naming it as the caller passed it."""
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
     if n >= sys.maxsize:  # the sieve of _factored_central_binomial indexes n + 1 bytes
         raise ValueError(f"C(n, floor(n/2)) needs n below sys.maxsize = {sys.maxsize}, got {n}")
+
+
+def central_binomial(n: int) -> int:
+    """C(n, floor(n/2)): the number of dispersed Dyck paths of length ``n``."""
+    _require_length(n)
     if n < _FACTOR_FROM:
         return math.comb(n, n // 2)
     return _factored_central_binomial(n)
@@ -239,8 +244,7 @@ def a_closed(m: int) -> int:
     computed as one halved even integer so the arithmetic stays exact.
     Lengths 0 and 1 admit no 1-ascent at all.
     """
-    if m < 0:
-        raise ValueError(f"length must be non-negative, got {m}")
+    _require_length(m)
     if m < 2:
         return 0
     return _one_ascents(m, central_binomial(m - 2))
@@ -252,8 +256,7 @@ def r_convolution(n: int) -> int:
     ``sum(C(k, floor(k/2)) * C(n-k-1, floor((n-k-1)/2)) for k in range(n))``;
     agrees with :func:`r_closed` for every ``n`` (the empty sum covers n = 0).
     """
-    if n < 0:
-        raise ValueError(f"length must be non-negative, got {n}")
+    _require_length(n)
     return _convolution(n, list(islice(central_binomials(), n)))
 
 
@@ -291,6 +294,8 @@ def a_asymptotic(m: int) -> AsymptoticEstimate:
 
 def _log2_comparison(m: int) -> tuple[float, float, float]:
     """(log2 of the exact 1-ascent total, log2 of its estimate, their ratio) for ``m >= 2``."""
+    if m < 2:
+        raise ValueError(f"ratio needs m >= 2 (no 1-ascents below length 2), got {m}")
     exact_log2 = math.log2(a_closed(m))
     estimate_log2 = a_asymptotic(m).log2
     return exact_log2, estimate_log2, 2.0 ** (exact_log2 - estimate_log2)
@@ -298,6 +303,4 @@ def _log2_comparison(m: int) -> tuple[float, float, float]:
 
 def asymptotic_ratio(m: int) -> float:
     """Exact 1-ascent total divided by its asymptotic estimate, in the log domain."""
-    if m < 2:
-        raise ValueError(f"ratio needs m >= 2 (no 1-ascents below length 2), got {m}")
     return _log2_comparison(m)[2]

@@ -7,7 +7,8 @@ stay independent.  Keep n small when calling these.
 
 The ``scans`` fixture records which words the PathWord alphabet check
 runs on, so tests can count how often an argument is validated; the
-``walks`` fixture records each brute-force walk, so tests can count them.
+``walks`` fixture records each brute-force walk, so tests can count them, and
+the ``suffix_builds`` fixture each suffix list a stream builds.
 """
 
 from itertools import product
@@ -107,3 +108,17 @@ def walks(monkeypatch):
     monkeypatch.setattr(enumeration, "_walk", counting)
     monkeypatch.setattr(enumeration, "_ROWS", {})
     return started
+
+
+@pytest.fixture
+def suffix_builds(monkeypatch):
+    """The ``(height, steps, flat, suffixes)`` of each ``_suffixes`` call while the test runs."""
+    built = []
+    suffixes = enumeration._suffixes
+
+    def recording(height, steps, flat):
+        built.append((height, steps, flat, suffixes(height, steps, flat)))
+        return built[-1][-1]
+
+    monkeypatch.setattr(enumeration, "_suffixes", recording)
+    return built

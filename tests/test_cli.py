@@ -207,6 +207,7 @@ class TestCount:
         code, out, err = run_cli(capsys, "count", stat, str(10**20))
         assert (code, out) == (2, "")
         assert err.startswith("error: C(n, floor(n/2)) needs n below sys.maxsize")
+        assert err.endswith(", got 100000000000000000000\n")
         assert err.count("\n") == 1
 
     def test_k_ascents_brute(self, capsys):
@@ -545,12 +546,19 @@ class TestAsymptotic:
     def test_m_below_two_rejected(self, capsys):
         code, _, err = run_cli(capsys, "asymptotic", "1")
         assert code == 2
-        assert "m >= 2" in err
+        assert err == "error: ratio needs m >= 2 (no 1-ascents below length 2), got 1\n"
 
     def test_m_past_sys_maxsize_rejected(self, capsys):
         code, _, err = run_cli(capsys, "asymptotic", str(10**20))
         assert code == 2
         assert err.startswith("error: C(n, floor(n/2)) needs n below sys.maxsize")
+        assert err.endswith(", got 100000000000000000000\n")
+        assert err.count("\n") == 1
+
+    def test_a_refused_m_prints_no_row(self, capsys):
+        # every m is checked before the header, so a late bad m leaves stdout empty
+        code, out, err = run_cli(capsys, "asymptotic", "100", str(10**20))
+        assert (code, out) == (2, "")
         assert err.count("\n") == 1
 
 

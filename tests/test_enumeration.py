@@ -126,15 +126,22 @@ class TestGenerators:
         assert next(enumerate_ddp(1501, cap=1501)).word == "U" * 750 + "D" * 750 + "R"
         assert next(enumerate_dyck(1500, cap=1500)).word == "U" * 750 + "D" * 750
 
-    def test_stream_memory(self, monkeypatch):
+    @pytest.mark.parametrize("stream", [_ddp_words, _ddp_one_ascents], ids=["words", "ones"])
+    def test_long_streams_build_only_the_first_height(self, suffix_builds, stream):
+        # a height's suffixes are listed when a prefix first reaches it, so the first item
+        # at n = 1501 lists those of the first prefix's height alone, not those of all 14
+        next(stream(1501))
+        assert len(suffix_builds) == 1
+
+    def test_one_ascent_stream_builds_each_height_once(self, suffix_builds):
+        # as test_stream_memory pins for the word stream
+        for _ in _ddp_one_ascents(20):
+            pass
+        heights = [height for height, *_ in suffix_builds]
+        assert len(heights) == len(set(heights))
+
+    def test_stream_memory(self, suffix_builds):
         # the stream holds its suffix lists, built once per height: 2**10 words for n = 20
-        built = []
-
-        def recording(height, steps, flat):
-            built.append((height, _suffixes(height, steps, flat)))
-            return built[-1][1]
-
-        monkeypatch.setattr(enumeration, "_suffixes", recording)
         tracemalloc.start()
         try:
             for _ in _ddp_words(20):
@@ -143,19 +150,12 @@ class TestGenerators:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        heights = [height for height, _ in built]
+        heights = [height for height, *_ in suffix_builds]
         assert len(heights) == len(set(heights))
-        assert sum(len(tail) for _, tail in built) == 2**10
+        assert sum(len(tail) for *_, tail in suffix_builds) == 2**10
 
-    def test_long_stream_memory(self, monkeypatch):
+    def test_long_stream_memory(self, suffix_builds):
         # beyond the cap the suffixes stay 13 steps long, so the lists never pass 2**13 words
-        built = []
-
-        def recording(height, steps, flat):
-            built.append((steps, _suffixes(height, steps, flat)))
-            return built[-1][1]
-
-        monkeypatch.setattr(enumeration, "_suffixes", recording)
         tracemalloc.start()
         try:
             for _ in itertools.islice(_ddp_words(60), 10**5):
@@ -164,7 +164,7 @@ class TestGenerators:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert {steps for steps, _ in built} == {13}
+        assert {steps for _, steps, *_ in suffix_builds} == {13}
         assert sum(len(_suffixes(h, 13, True)) for h in range(14)) == 2**13
 
     def test_suffixes_end_on_the_axis(self):
@@ -209,8 +209,8 @@ class TestGenerators:
         assert seams == set(itertools.product(range(3), repeat=2))
 
     def test_one_ascent_stream_memory(self):
-        # the suffix lists of every height, 2**13 words in all beyond the cap, and their
-        # starts by lead, equal starts shared; and a tuple per word
+        # the suffix lists of the heights the prefixes reach, at most 2**13 words beyond the
+        # cap, and their starts by lead, one tuple per suffix and lead; and a tuple per word
         tracemalloc.start()
         try:
             for _ in itertools.islice(_ddp_one_ascents(40), 10**5):

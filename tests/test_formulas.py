@@ -75,6 +75,18 @@ class TestSpotValues:
         for fn in (*closed, catalan, asymptotic_ratio):
             with pytest.raises(ValueError, match=r"^C\(n, floor\(n/2\)\) needs n below sys"):
                 fn(10**20)
+        for fn in (central_binomial, a_closed, asymptotic_ratio):  # the length as passed
+            with pytest.raises(ValueError, match=rf"got {10**20}$"):
+                fn(10**20)
+
+    def test_r_convolution_refuses_before_listing(self, monkeypatch):
+        # it would list B(0..n-1) until memory ran out
+        def unreachable():
+            raise AssertionError("central_binomials() was called")
+
+        monkeypatch.setattr(formulas, "central_binomials", unreachable)
+        with pytest.raises(ValueError, match=rf"needs n below sys\.maxsize = \d+, got {10**20}$"):
+            r_convolution(10**20)
 
 
 class TestFactoredCentralBinomial:
