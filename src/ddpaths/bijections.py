@@ -303,8 +303,9 @@ def ascent_remove(path: PathWord | str, pos: int) -> tuple[PathWord, SlotRef]:
     or right step at ``pos - 1`` (same index in the shortened path).
     """
     word = _require_ddp(path)
-    # re clamps a negative pos to 0, so the guard keeps pos -1 from matching at 0
-    if not (_is_index(pos) and 0 <= pos and _ONE_ASCENT.match(word, pos)):
+    # re clamps a negative pos to 0 and overflows on one past sys.maxsize, so the guard keeps
+    # pos -1 from matching at 0 and a huge pos from reaching re at all
+    if not (_is_index(pos) and 0 <= pos < len(word) and _ONE_ASCENT.match(word, pos)):
         raise ValueError(f"position {pos} is not the up step of a 1-ascent in {word!r}")
     shortened, at = _cut_ascent(word, pos)
     return PathWord(shortened), _slot_at(shortened, at)

@@ -5,39 +5,42 @@ formula is consulted anywhere in this module.  That makes these functions
 the oracle against which the closed-form counters and the bijections are
 verified.
 
-One stack walker, ``_moves``, states the move rule, and it has three
-consumers, each joined at half depth; nothing here recurses.  ``_ddp_words``
-streams the words, lexicographic under ``U < D < R`` so that streams are
-deterministic and golden-testable: the prefixes to depth n // 2, each
-followed by the list of suffixes from its height; its memory is
-those suffix lists, about 2^(n/2) words.  Beyond the cap the suffixes stay
-13 steps long and the prefixes grow instead, so the lists never hold more
-than 2^13 words; ``_join_depth`` states that depth once.
-``_ddp_one_ascents`` streams the same words, at the same depth, with their
-1-ascent starts.  ``_walk`` reads prefixes of length n // 2 and suffixes of
-the remaining steps, keys each by its step counts and its k-ascents, and
-aggregates the step totals and the k-ascent histogram of length n; it joins
-its halves by key counts: one product per pair of distinct prefix and suffix
-keys, not one count per path.  Both joins read a prefix by one seam rule: its
-body, the prefix less its trailing up-run, and that run, capped where every
-longer run acts alike; each height's suffixes are matched or keyed once per
-capped run, not once per word.  All three build a height's suffix list once,
-and only for a height some prefix reaches: the streams when a prefix first
-reaches it, ``_walk`` once its prefixes are counted.  Every brute-force
-count reads the rows' cache, one row per (n, k) and the package's only
-cache.  A cap (default 26, about 10.4 million words) guards against
-accidental enumeration blowups, and it is the only bound on length; every
-entry point that enumerates takes the cap as an argument.
+One stack walker, ``_moves``, states the move rule; nothing here recurses.
+Every word is a prefix to a join depth followed by a suffix of the remaining
+steps, and which suffixes may follow a prefix depends only on one key of it.
+``_joined`` is that join for the streams: it builds a key's suffix list
+once, when a prefix first reaches that key, and only for keys some prefix
+reaches.  The depth is n // 2, or n - 13 beyond the cap, so the suffix lists
+never hold more than 2^13 words, about 2^(n/2) below the cap;
+``_join_depth`` states it once.  The three streams are lexicographic under
+``U < D < R``, so that they are deterministic and golden-testable:
+``_ddp_words`` streams the DDP and Dyck words, keyed by the prefix's height;
+``_ddp_one_ascents`` the same words with their 1-ascent starts;
+``_plain_words`` the U/D words, keyed by twice the up steps a prefix holds.
+``_walk`` reads prefixes of length n // 2 and suffixes of the remaining
+steps, keys each by its step counts and its k-ascents, and aggregates the
+step totals and the k-ascent histogram of length n; it joins its halves by
+key counts: one product per pair of distinct prefix and suffix keys, not one
+count per path.  The 1-ascent stream and ``_walk`` read a prefix by one seam
+rule: its body, the prefix less its trailing up-run, and that run, capped
+where every longer run acts alike; each height's suffixes are matched or
+keyed once per capped run, not once per word.  Every brute-force count reads
+the rows' cache, one row per (n, k) and the package's only cache.  A cap
+(default 26, about 10.4 million words) guards against accidental enumeration
+blowups, and it is the only bound on length short of sys.maxsize, past which
+no string holds a word; every entry point that enumerates takes the cap as
+an argument.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, defaultdict
-from itertools import combinations
+from itertools import product
 from operator import add, mul
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
-from .paths import PathWord, _Record, _k_ascent, _setattr
+from .paths import _ONE_ASCENT, PathWord, _Record, _k_ascent, _setattr
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -116,6 +119,8 @@ def _require_enumerable(n: int, cap: int) -> None:
             f"length {n} exceeds the enumeration cap of {cap}; "
             "pass a larger cap to override"
         )
+    if n >= sys.maxsize:  # a str holds fewer than sys.maxsize characters
+        raise ValueError(f"a word of length n needs n below sys.maxsize = {sys.maxsize}, got {n}")
 
 
 def _require_ascent_length(k: int) -> None:
@@ -128,6 +133,16 @@ def _join_depth(n: int) -> int:
     return max(n // 2, n - _SUFFIX_STEPS)
 
 
+def _joined(heads: Iterator[tuple[str, int]], tail: Callable[[int], Any]) -> Iterator[tuple]:
+    """Each (prefix, key) of ``heads`` as the prefix with ``tail(key)``; each key's tail is
+    built once, when a prefix first reaches that key, and kept for every later prefix."""
+    tails = {}
+    for prefix, key in heads:
+        if key not in tails:
+            tails[key] = tail(key)
+        yield prefix, tails[key]
+
+
 def _ddp_words(n: int, flat: bool = True) -> Iterator[str]:
     """All DDP words of length n, lexicographic under U < D < R.
 
@@ -138,11 +153,7 @@ def _ddp_words(n: int, flat: bool = True) -> Iterator[str]:
     if not flat and n % 2:
         return
     half = _join_depth(n)
-    tails: dict[int, list[str]] = {}  # by height, the suffixes from depth half
-    for prefix, height in _moves(0, half, n, flat):
-        tail = tails.get(height)
-        if tail is None:
-            tail = tails[height] = _suffixes(height, n - half, flat)
+    for prefix, tail in _joined(_moves(0, half, n, flat), lambda h: _suffixes(h, n - half, flat)):
         yield from map(prefix.__add__, tail)
 
 
@@ -155,26 +166,22 @@ def _ddp_one_ascents(n: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     matched once per lead, behind that lead, their starts shifted back by its length.
     """
     half = _join_depth(n)
-    ones_in = _k_ascent(1).finditer
-    # by height: the suffixes from depth half and, by each lead the height allows, their
-    # starts; tuples from lists, as tuples cut down from a generator piled up in free lists
-    tails: dict[int, tuple[list[str], dict[str, list[tuple[int, ...]]]]] = {}
-    for prefix, height in _moves(0, half, n, True):
-        tail = tails.get(height)
-        if tail is None:
-            words = _suffixes(height, n - half, True)
-            seams = {}
-            for lead in ("", "U", "UU")[: height + 1]:
-                shift = half - len(lead)
-                seams[lead] = [
-                    tuple([m.start() + shift for m in ones_in(lead + word)]) for word in words
-                ]
-            tail = tails[height] = words, seams
-        words, seams = tail
+    ones_in = _ONE_ASCENT.finditer
+
+    def seams(height: int) -> tuple[list[str], dict[str, list[tuple[int, ...]]]]:
+        """The suffixes from ``height`` and, by each lead the height allows, their starts;
+        tuples from lists, as tuples cut down from a generator piled up in free lists."""
+        words = _suffixes(height, n - half, True)
+        return words, {
+            lead: [tuple([m.start() + half - len(lead) for m in ones_in(lead + w)]) for w in words]
+            for lead in ("", "U", "UU")[: height + 1]
+        }
+
+    for prefix, (words, starts) in _joined(_moves(0, half, n, True), seams):
         body = prefix.rstrip("U")
         own = tuple([m.start() for m in ones_in(body)])
-        starts = seams[prefix[len(body) : len(body) + 2]]
-        yield from zip(map(prefix.__add__, words), map(own.__add__, starts))
+        ends = starts[prefix[len(body) : len(body) + 2]]
+        yield from zip(map(prefix.__add__, words), map(own.__add__, ends))
 
 
 def _moves(height: int, steps: int, room: int, flat: bool) -> Iterator[tuple[str, int]]:
@@ -282,14 +289,20 @@ def _walk(n: int, k: int) -> _Row:
 def _plain_words(n: int) -> Iterator[str]:
     """All length-n words over U/D ending at height -(n % 2), lexicographic under U < D.
 
-    A word is fixed by its up-step positions, and position tuples in
-    lexicographic order are exactly the words in U < D order.
+    Its prefixes are the walks of ``_moves`` to the join depth that start that many steps
+    above the axis, so the axis stops no D step, with room for n // 2 up steps; each ends
+    at twice its up steps and is followed by every U/D suffix holding the up steps it still
+    needs.  Beyond the cap, prefixes from ``product`` would pass at least 2^(half - n // 2 - 1)
+    with too many up steps before the first word; the room prunes them.
     """
-    for ups in combinations(range(n), n // 2):
-        word = ["D"] * n
-        for i in ups:
-            word[i] = "U"
-        yield "".join(word)
+    half, ups = _join_depth(n), n // 2
+
+    def tail(height: int) -> list[str]:
+        need = ups - height // 2
+        return [w for w in map("".join, product("UD", repeat=n - half)) if w.count("U") == need]
+
+    for prefix, words in _joined(_moves(half, half, half + 2 * ups, False), tail):
+        yield from map(prefix.__add__, words)
 
 
 def enumerate_ddp(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[PathWord]:

@@ -215,6 +215,9 @@ def catalan(k: int) -> int:
     """The k-th Catalan number: the number of Dyck paths of length ``2k``."""
     if k < 0:
         raise ValueError(f"index must be non-negative, got {k}")
+    if 2 * k >= sys.maxsize:  # refused here, where k is known, not as the 2k passed on
+        limit = f"C(n, floor(n/2)) needs n below sys.maxsize = {sys.maxsize}"
+        raise ValueError(f"{limit}, got n = 2k for k = {k}")
     return dyck_count(2 * k)
 
 

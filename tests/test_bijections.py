@@ -234,6 +234,9 @@ class TestAscentPairing:
             ascent_remove(parse_path("UD"), -1)  # negative: no wrap-around, no clamp to 0
         with pytest.raises(ValueError, match="not the up step of a 1-ascent"):
             ascent_remove(parse_path("UD"), 2)  # past the end
+        # one past sys.maxsize, where re would raise OverflowError instead
+        with pytest.raises(ValueError, match=f"^position {10**20} is not the up step"):
+            ascent_remove(parse_path("UD"), 10**20)
         with pytest.raises(ValueError, match="not a dispersed Dyck path"):
             ascent_remove(parse_path("UDU"), 2)
 

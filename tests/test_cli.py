@@ -63,6 +63,15 @@ class TestEnumerateGolden:
         assert out == ""
         assert "enumeration cap must be non-negative, got -1" in err
 
+    # a raised cap lets such a length through, but no string can hold its words
+    @pytest.mark.parametrize("family", ["ddp", "dyck", "plain"])
+    def test_a_length_past_sys_maxsize_is_refused(self, capsys, family):
+        n = str(10**20)
+        code, out, err = run_cli(capsys, "enumerate", n, "--family", family, "--cap", n)
+        assert (code, out) == (2, "")
+        limit = f"a word of length n needs n below sys.maxsize = {sys.maxsize}"
+        assert err == f"error: {limit}, got {n}\n"
+
 
 class TestSequenceGolden:
     @pytest.mark.parametrize(
@@ -398,6 +407,13 @@ class TestBijection:
         code, _, err = run_cli(capsys, "bijection", "reflection", "RUD")
         assert code == 2
         assert "not a plain path" in err
+
+    def test_huge_pos(self, capsys):
+        # re would raise OverflowError on a position past sys.maxsize
+        pos = str(10**20)
+        code, out, err = run_cli(capsys, "bijection", "ascent-remove", "UD", "--pos", pos)
+        assert (code, out) == (2, "")
+        assert err == f"error: position {pos} is not the up step of a 1-ascent in 'UD'\n"
 
     def test_missing_pos(self, capsys):
         code, _, err = run_cli(capsys, "bijection", "ascent-remove", "RUD")

@@ -26,7 +26,14 @@ from ddpaths import (
     u_closed,
     verify_all,
 )
-from ddpaths.enumeration import CSV_HEADER, _ddp_one_ascents, _ddp_words, _suffixes, _walk
+from ddpaths.enumeration import (
+    CSV_HEADER,
+    _ddp_one_ascents,
+    _ddp_words,
+    _plain_words,
+    _suffixes,
+    _walk,
+)
 
 from conftest import (
     lex_key,
@@ -125,6 +132,9 @@ class TestGenerators:
         # far beyond the interpreter's recursion limit; only the first word is built
         assert next(enumerate_ddp(1501, cap=1501)).word == "U" * 750 + "D" * 750 + "R"
         assert next(enumerate_dyck(1500, cap=1500)).word == "U" * 750 + "D" * 750
+        # the room of the plain prefixes stops their up steps at n // 2, so no prefix
+        # with too many of them is walked before the first word
+        assert next(enumerate_plain(1501, cap=1501)).word == "U" * 750 + "D" * 751
 
     @pytest.mark.parametrize("stream", [_ddp_words, _ddp_one_ascents], ids=["words", "ones"])
     def test_long_streams_build_only_the_first_height(self, suffix_builds, stream):
@@ -167,6 +177,17 @@ class TestGenerators:
         assert {steps for _, steps, *_ in suffix_builds} == {13}
         assert sum(len(_suffixes(h, 13, True)) for h in range(14)) == 2**13
 
+    def test_plain_stream_memory(self):
+        # beyond the cap the plain suffixes stay 13 steps long too: 2**13 words in all keys
+        tracemalloc.start()
+        try:
+            for _ in itertools.islice(_plain_words(60), 10**5):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_suffixes_end_on_the_axis(self):
         # one step cannot bring height 2 back to the axis, so there is no such suffix
         assert _suffixes(2, 1, True) == []
@@ -184,6 +205,13 @@ class TestGenerators:
         assert list(_ddp_words(12, flat)) == expected
         oracle = oracle_ddp_words(12) if flat else oracle_dyck_words(12)
         assert expected == sorted(oracle, key=lex_key)
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_short_plain_suffixes_keep_the_order(self, monkeypatch, n):
+        # beyond the cap, moved down by shortening the suffixes to 2 steps: a prefix may
+        # hold too few up steps for any suffix, and the room keeps out those with too many
+        monkeypatch.setattr(enumeration, "_SUFFIX_STEPS", 2)
+        assert list(_plain_words(n)) == sorted(oracle_plain_words(n), key=lex_key)
 
     @pytest.mark.parametrize("n", range(19))
     def test_one_ascent_stream_against_run_lengths(self, n):
@@ -224,7 +252,7 @@ class TestGenerators:
     def test_dyck_matches_filter_oracle(self, n):
         assert words(enumerate_dyck(n)) == sorted(oracle_dyck_words(n), key=lex_key)
 
-    @pytest.mark.parametrize("n", range(15))
+    @pytest.mark.parametrize("n", range(17))
     def test_plain_matches_filter_oracle(self, n):
         generated = words(enumerate_plain(n))
         assert generated == sorted(oracle_plain_words(n), key=lex_key)
@@ -254,6 +282,13 @@ class TestGenerators:
     def test_negative_cap(self):
         with pytest.raises(ValueError, match="enumeration cap must be non-negative, got -1"):
             enumerate_ddp(0, cap=-1)
+
+    @pytest.mark.parametrize("stream", [enumerate_ddp, enumerate_dyck, enumerate_plain])
+    @pytest.mark.parametrize("n", [sys.maxsize, 10**20])
+    def test_lengths_past_sys_maxsize_are_refused(self, stream, n):
+        # no string holds such a word, so a raised cap cannot let the stream start
+        with pytest.raises(ValueError, match=rf"needs n below sys\.maxsize = \d+, got {n}$"):
+            stream(n, cap=n)
 
 
 def is_plain(word):

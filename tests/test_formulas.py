@@ -1,6 +1,7 @@
 """Closed-form counters: spot values, identities at scale, and oracle equivalence."""
 
 import math
+import sys
 import tracemalloc
 from itertools import islice
 
@@ -78,6 +79,11 @@ class TestSpotValues:
         for fn in (central_binomial, a_closed, asymptotic_ratio):  # the length as passed
             with pytest.raises(ValueError, match=rf"got {10**20}$"):
                 fn(10**20)
+        # the index as passed, not the length 2k that catalan passes on
+        with pytest.raises(ValueError, match=rf", got n = 2k for k = {10**20}$"):
+            catalan(10**20)
+        with pytest.raises(ValueError, match=rf"for k = {sys.maxsize // 2 + 1}$"):
+            catalan(sys.maxsize // 2 + 1)
 
     def test_r_convolution_refuses_before_listing(self, monkeypatch):
         # it would list B(0..n-1) until memory ran out

@@ -295,6 +295,57 @@ def test_modules_import_only_the_standard_library():
 
 
 
+def _one_ascent_matchers(source: str) -> list[str]:
+    """Each ``_k_ascent(1)`` call, and each ``re`` call on a literal pattern that finds what
+    ``paths._ONE_ASCENT`` finds, as source text."""
+    probe = "UDUUDDRUDUUUDDDUDRRUUDDUD"
+    ones = [m.start() for m in paths._ONE_ASCENT.finditer(probe)]
+    found = []
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    for node in calls:
+        if not (node.args and isinstance(node.args[0], ast.Constant)):
+            continue
+        func, pattern = node.func, node.args[0].value
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "_k_ascent" and pattern == 1:
+            found.append(ast.unparse(node))
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "re"
+            and isinstance(pattern, str)
+        ):
+            try:
+                starts = [m.start() for m in re.finditer(pattern, probe)]
+            except re.error:
+                continue
+            if starts == ones:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_one_ascent_scan_flags_a_second_matcher():
+    source = (
+        "import re\nfrom .paths import _k_ascent\n"
+        "ones = _k_ascent(1)\ntwos = _k_ascent(2)\nruns = _k_ascent(k)\n"
+        "again = re.compile('(?<!U)U(?!U)')\nups = re.compile('U+')\nbad = re.compile('(')\n"
+        "hits = re.finditer(r'(?<!U)U(?=[DR]|$)', word)\n"
+    )
+    assert _one_ascent_matchers(source) == [
+        "_k_ascent(1)",
+        "re.compile('(?<!U)U(?!U)')",
+        "re.finditer('(?<!U)U(?=[DR]|$)', word)",
+    ]
+
+
+# paths._ONE_ASCENT is the one 1-ascent matcher: the streams, the bijections and the
+# position finder read it, so a second pattern could not drift from it unseen
+def test_paths_holds_the_one_one_ascent_matcher():
+    src = ROOT / "src" / "ddpaths"
+    found = {path.stem: _one_ascent_matchers(path.read_text()) for path in src.glob("*.py")}
+    assert {stem: calls for stem, calls in found.items() if calls} == {"paths": ["_k_ascent(1)"]}
+
+
 # dataclasses imports inspect, which brings ast, dis and tokenize: about 1 MiB of peak memory
 # and 10 ms of start-up for every run of the CLI, none of it used
 INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
