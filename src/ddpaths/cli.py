@@ -15,7 +15,9 @@ import argparse
 import json
 import os
 import sys
-from itertools import count, islice
+from contextlib import contextmanager
+from itertools import islice
+from typing import Any, Iterable, Iterator
 
 from .bijections import (
     _SLOT_SYNTAX,
@@ -30,6 +32,7 @@ from .bijections import (
 )
 from .enumeration import (
     CSV_HEADER,
+    CountRow,
     DEFAULT_ENUMERATION_CAP,
     _require_ascent_length,
     _require_enumerable,
@@ -41,14 +44,14 @@ from .enumeration import (
     totals_brute,
 )
 from .formulas import (
+    _central_binomials,
     _closed_rows,
     _convolution_terms,
     _log2_comparison,
     _one_ascent_terms,
-    _rights,
+    _right_terms,
     a_closed,
     central_binomial,
-    central_binomials,
     dyck_count,
     r_closed,
     u_closed,
@@ -84,13 +87,13 @@ _MAPS = {
     "updown-inv": updown_inverse,
 }
 
-# sequence -> its terms at lengths 0, 1, 2, ... from one pass over B(0), B(1), ...;
+# sequence -> its terms at lengths 0, 1, 2, ..., in the number type of the 1 it starts from;
 # convolution stays a self-convolution of B values, the route CONV checks against R(n)
 _SEQUENCES = {
     "one-ascents": _one_ascent_terms,
-    "right-steps": lambda bs: map(_rights, count(), bs),
-    "ddp-count": lambda bs: bs,
-    "convolution": _convolution_terms,
+    "right-steps": _right_terms,
+    "ddp-count": _central_binomials,
+    "convolution": lambda one: _convolution_terms(_central_binomials(one)),
 }
 
 _FAMILIES = {
@@ -98,6 +101,30 @@ _FAMILIES = {
     "dyck": enumerate_dyck,
     "plain": enumerate_plain,
 }
+
+
+@contextmanager
+def _exact_decimals() -> Iterator[Any]:
+    """Decimal 1, under a context in which every operation is exact or raises.
+
+    ``sequence`` and ``totals --method closed`` print terms computed in ``decimal``, whose
+    str() takes linear time where CPython's int.__str__ is quadratic.  The precision and
+    exponent range are at their limits and Inexact and Rounded are trapped, so a term that
+    would round raises instead of printing.  ``decimal`` is imported here, so that set-up,
+    ``count`` and ``verify`` never load it.
+    """
+    import decimal
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    exact.traps[decimal.Inexact] = exact.traps[decimal.Rounded] = True
+    with decimal.localcontext(exact):
+        yield decimal.Decimal(1)
+
+
+def _json_row(row: CountRow) -> str:
+    """The JSON object json.dumps writes for ``row.to_json_dict()``, from str() of each total;
+    its keys are column names, letters only, so none needs escaping."""
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in row.to_json_dict().items()) + "}"
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -135,16 +162,21 @@ def _cmd_totals(args: argparse.Namespace) -> int:
         raise ValueError(f"largest length must be non-negative, got {args.n}")
     if args.method == "brute":
         _require_enumerable(args.n, args.cap)  # refuse a length over the cap before any row
-        rows = (totals_brute(n, cap=args.cap) for n in range(args.n + 1))
+        _print_rows(args.format, (totals_brute(n, cap=args.cap) for n in range(args.n + 1)))
     else:
-        rows = islice(_closed_rows(central_binomials()), args.n + 1)
-    if args.format == "json":
-        print(json.dumps([row.to_json_dict() for row in rows]))
+        with _exact_decimals() as one:
+            _print_rows(args.format, islice(_closed_rows(one), args.n + 1))
+    return 0
+
+
+def _print_rows(fmt: str, rows: Iterable[CountRow]) -> None:
+    if fmt == "json":  # the text json.dumps writes for the rows' dicts
+        print("[", end="")
+        print(*map(_json_row, rows), sep=", ", end="]\n")
     else:  # each row prints as soon as it is computed
         print(CSV_HEADER)
         for row in rows:
             print(row.to_csv())
-    return 0
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
@@ -184,19 +216,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sequence(args: argparse.Namespace) -> int:
     if args.terms < 1:
         raise ValueError(f"--terms must be >= 1, got {args.terms}")
-    values = islice(_SEQUENCES[args.which](central_binomials()), args.terms)
-    # text, b-file and CSV lines print term by term; only JSON collects the terms
-    if args.format == "text":
-        print(*values)
-    elif args.format == "bfile":
-        for i, v in enumerate(values, args.offset):
-            print(f"{i} {v}")
-    elif args.format == "csv":
-        print("n,value")
-        for i, v in enumerate(values, args.offset):
-            print(f"{i},{v}")
-    else:
-        print(json.dumps({"sequence": args.which, "offset": args.offset, "values": list(values)}))
+    if args.terms > sys.maxsize:  # islice counts its terms in a C ssize_t
+        raise ValueError(f"--terms must be at most sys.maxsize = {sys.maxsize}, got {args.terms}")
+    with _exact_decimals() as one:
+        values = islice(_SEQUENCES[args.which](one), args.terms)
+        # b-file and CSV lines print term by term; text and JSON collect the terms
+        if args.format == "text":
+            print(*values)
+        elif args.format == "bfile":
+            for i, v in enumerate(values, args.offset):
+                print(f"{i} {v}")
+        elif args.format == "csv":
+            print("n,value")
+            for i, v in enumerate(values, args.offset):
+                print(f"{i},{v}")
+        else:
+            head = json.dumps({"sequence": args.which, "offset": args.offset, "values": []})
+            print(head[:-2], end="")  # the text json.dumps writes, less the closing "]}"
+            print(*values, sep=", ", end="]}\n")
     return 0
 
 

@@ -16,7 +16,8 @@ never hold more than 2^13 words, about 2^(n/2) below the cap;
 ``U < D < R``, so that they are deterministic and golden-testable:
 ``_ddp_words`` streams the DDP and Dyck words, keyed by the prefix's height;
 ``_ddp_one_ascents`` the same words with their 1-ascent starts;
-``_plain_words`` the U/D words, keyed by twice the up steps a prefix holds.
+``_plain_words`` the U/D words, keyed by twice the up steps a prefix holds,
+their suffixes grouped by up steps from one pass over ``product``.
 ``_walk`` reads prefixes of length n // 2 and suffixes of the remaining
 steps, keys each by its step counts and its k-ascents, and aggregates the
 step totals and the k-ascent histogram of length n; it joins its halves by
@@ -292,16 +293,16 @@ def _plain_words(n: int) -> Iterator[str]:
     Its prefixes are the walks of ``_moves`` to the join depth that start that many steps
     above the axis, so the axis stops no D step, with room for n // 2 up steps; each ends
     at twice its up steps and is followed by every U/D suffix holding the up steps it still
-    needs.  Beyond the cap, prefixes from ``product`` would pass at least 2^(half - n // 2 - 1)
-    with too many up steps before the first word; the room prunes them.
+    needs: all of them come from one pass over ``product``, grouped by their up steps, so
+    each is built once.  Beyond the cap, prefixes from ``product`` would pass at least
+    2^(half - n // 2 - 1) with too many up steps before the first word; the room prunes them.
     """
     half, ups = _join_depth(n), n // 2
-
-    def tail(height: int) -> list[str]:
-        need = ups - height // 2
-        return [w for w in map("".join, product("UD", repeat=n - half)) if w.count("U") == need]
-
-    for prefix, words in _joined(_moves(half, half, half + 2 * ups, False), tail):
+    by_ups = defaultdict(list)
+    for word in map("".join, product("UD", repeat=n - half)):
+        by_ups[word.count("U")].append(word)
+    heads = _moves(half, half, half + 2 * ups, False)
+    for prefix, words in _joined(heads, lambda height: by_ups[ups - height // 2]):
         yield from map(prefix.__add__, words)
 
 

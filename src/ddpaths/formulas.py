@@ -7,16 +7,18 @@ cross-check the two routes.  Two kinds of function have none: the stream
 the asymptotic estimators, which are checked against the exact closed form.
 All integer results are exact at any length; the only floating point lives
 in the asymptotic estimator, which works in the log domain because ``2**n``
-leaves double range near n = 1024.
+leaves double range near n = 1024.  The private streams run in the number
+type they start from: ``int`` for the library, or a ``Decimal`` under a
+context that traps every rounding, whose str() the CLI prints in linear time.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import compress, count, islice, tee
+from itertools import accumulate, compress, count, islice, repeat
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .enumeration import CountRow
 
@@ -48,6 +50,9 @@ _FACTOR_FROM = 1600
 # of 198 KiB, against 581 KiB with all of them listed first, at the same speed from
 # n = 10**4 to 10**6 (CPython 3.11.7, 2 vCPUs).
 _PRIME_CHUNK = 256
+
+# the number type a stream runs in: int, or a Decimal under a context that traps rounding
+_N = TypeVar("_N")
 
 
 def _require_length(n: int) -> None:
@@ -110,13 +115,17 @@ def _product_tree(xs: list[int]) -> int:
 
 
 def central_binomials() -> Iterator[int]:
-    """B(0), B(1), B(2), ...: every ``central_binomial(n)`` in order, from one running pass.
+    """B(0), B(1), B(2), ...: every ``central_binomial(n)`` in order, from one running pass."""
+    return _central_binomials(1)
+
+
+def _central_binomials(b: _N) -> Iterator[_N]:
+    """B(0), B(1), B(2), ... from ``b = B(0) = 1``, in the number type of ``b``.
 
     Each value comes from the one before it: C(2k+1, k) = C(2k, k) * (2k+1) / (k+1)
     (an exact division) and C(2k+2, k+1) = 2 * C(2k+1, k).  The first N values
     cost O(N) big-integer products instead of N separate ``math.comb`` calls.
     """
-    b = 1
     k = 0
     while True:
         yield b  # C(2k, k)
@@ -126,41 +135,48 @@ def central_binomials() -> Iterator[int]:
         k += 1
 
 
-# Each closed form is stated once, in a private helper that takes the length and
-# its central binomial B.  The point-wise functions pass ``central_binomial(n)``;
-# the streams below pass the running values of ``central_binomials()``.
+def _powers_of_two(one: _N) -> Iterator[_N]:
+    """2**0, 2**1, 2**2, ... from ``one = 2**0``, in the number type of ``one``."""
+    return accumulate(repeat(2), mul, initial=one)
 
 
-def _dyck(n: int, b: int) -> int:
+# Each closed form is stated once, in a private helper that reads what it needs of
+# the length n, its power of two 2**n and its central binomial B.  The point-wise
+# functions pass ``1 << n`` and ``central_binomial(n)``; the streams below pass running
+# values of both, in the number type they start from.  Every operand is non-negative,
+# so ``//`` and ``divmod`` agree on int and on a Decimal under an exact context.
+
+
+def _dyck(n: int, b: _N) -> _N:
     """Dyck paths of length ``n`` from ``b = B(n)``: C(2k, k) / (k+1) for n = 2k, else 0."""
     return 0 if n % 2 else b // (n // 2 + 1)
 
 
-def _rights(n: int, b: int) -> int:
-    """R(n) from ``b = B(n)``."""
-    return (1 << n) - b
+def _rights(two: _N, b: _N) -> _N:
+    """R(n) from ``two = 2**n`` and ``b = B(n)``."""
+    return two - b
 
 
-def _ups(n: int, b: int) -> int:
-    """U(n) from ``b = B(n)``; the numerator is checked to be even, not assumed."""
-    numerator = (n + 1) * b - (1 << n)
+def _ups(n: int, two: _N, b: _N) -> _N:
+    """U(n) from ``two = 2**n`` and ``b = B(n)``; the numerator is checked to be even."""
+    numerator = (n + 1) * b - two
     half, rem = divmod(numerator, 2)
     if rem:
         raise ArithmeticError(f"u_closed({n}): numerator {numerator} is odd")
     return half
 
 
-def _one_ascents(m: int, b: int) -> int:
-    """A(m) for ``m >= 2`` from ``b = B(m - 2)``; the numerator is checked to be even."""
-    n = m - 2
-    numerator = (1 << n) + (n + 1) * b
+def _one_ascents(m: int, two: _N, b: _N) -> _N:
+    """A(m) for ``m >= 2`` from ``two = 2**(m - 2)`` and ``b = B(m - 2)``; the numerator is
+    checked to be even."""
+    numerator = two + (m - 1) * b
     half, rem = divmod(numerator, 2)
     if rem:
         raise ArithmeticError(f"a_closed({m}): numerator {numerator} is odd")
     return half
 
 
-def _convolution(n: int, bs: Sequence[int]) -> int:
+def _convolution(n: int, bs: Sequence[_N]) -> _N:
     """The self-convolution sum of B(k) * B(n-k-1) over k < n, from ``bs = B(0..n-1)``.
 
     The terms at k and n-k-1 are equal, so the sum is folded: twice the products
@@ -171,44 +187,48 @@ def _convolution(n: int, bs: Sequence[int]) -> int:
     return folded + bs[h] ** 2 if n % 2 else folded
 
 
-def _row(n: int, b: int, one_ascents: int) -> CountRow:
-    """Every total of length ``n`` from ``b = B(n)`` and the 1-ascent total."""
-    ups = _ups(n, b)  # every up step is matched by a down step
+def _row(n: int, two: _N, b: _N, one_ascents: _N) -> CountRow:
+    """Every total of length ``n`` from ``two = 2**n``, ``b = B(n)`` and the 1-ascent total."""
+    ups = _ups(n, two, b)  # every up step is matched by a down step
     return CountRow(
         n=n,
         ddp=b,
         dyck=_dyck(n, b),
         ups=ups,
         downs=ups,
-        rights=_rights(n, b),
+        rights=_rights(two, b),
         one_ascents=one_ascents,
     )
 
 
-def _one_ascent_terms(bs: Iterable[int]) -> Iterator[int]:
-    """A(0), A(1), A(2), ... from B(0), B(1), ... in ``bs``: A(m) reads B(m - 2)."""
+def _one_ascent_terms(one: _N) -> Iterator[_N]:
+    """A(0), A(1), A(2), ... in the number type of ``one``: A(m) reads 2**(m-2) and B(m-2)."""
     yield 0  # lengths 0 and 1 admit no 1-ascent
     yield 0
-    for n, b in enumerate(bs):
-        yield _one_ascents(n + 2, b)
+    yield from map(_one_ascents, count(2), _powers_of_two(one), _central_binomials(one))
 
 
-def _convolution_terms(bs: Iterable[int]) -> Iterator[int]:
+def _right_terms(one: _N) -> Iterator[_N]:
+    """R(0), R(1), R(2), ... in the number type of ``one``."""
+    return map(_rights, _powers_of_two(one), _central_binomials(one))
+
+
+def _convolution_terms(bs: Iterable[_N]) -> Iterator[_N]:
     """The self-convolutions of B(0), B(1), ... in ``bs``, at n = 0, 1, 2, ...
 
     Term n reads B(0..n-1) only, so the terms stream along with ``bs``.
     """
-    seen: list[int] = []
+    seen: list[_N] = []
     for n, b in enumerate(bs):
         yield _convolution(n, seen)
         seen.append(b)
 
 
-def _closed_rows(bs: Iterable[int]) -> Iterator[CountRow]:
-    """totals_closed(0), totals_closed(1), ... from one pass over B(0), B(1), ... in ``bs``."""
-    bs, lagged = tee(bs)
-    for n, b, one_ascents in zip(count(), bs, _one_ascent_terms(lagged)):
-        yield _row(n, b, one_ascents)
+def _closed_rows(one: _N) -> Iterator[CountRow]:
+    """totals_closed(0), totals_closed(1), ... in the number type of ``one``, from running
+    values of 2**n and B(n)."""
+    twos, bs = _powers_of_two(one), _central_binomials(one)
+    return map(_row, count(), twos, bs, _one_ascent_terms(one))
 
 
 def catalan(k: int) -> int:
@@ -228,7 +248,8 @@ def dyck_count(n: int) -> int:
 
 def r_closed(n: int) -> int:
     """Total right steps over all DDPs of length ``n``: ``2**n - C(n, floor(n/2))``."""
-    return _rights(n, central_binomial(n))
+    b = central_binomial(n)  # refuses a bad n before 1 << n is built
+    return _rights(1 << n, b)
 
 
 def u_closed(n: int) -> int:
@@ -237,7 +258,8 @@ def u_closed(n: int) -> int:
     The division is exact for every ``n``; a remainder would mean the
     formula itself is wrong, so it is checked rather than assumed.
     """
-    return _ups(n, central_binomial(n))
+    b = central_binomial(n)  # refuses a bad n before 1 << n is built
+    return _ups(n, 1 << n, b)
 
 
 def a_closed(m: int) -> int:
@@ -250,7 +272,7 @@ def a_closed(m: int) -> int:
     _require_length(m)
     if m < 2:
         return 0
-    return _one_ascents(m, central_binomial(m - 2))
+    return _one_ascents(m, 1 << (m - 2), central_binomial(m - 2))
 
 
 def r_convolution(n: int) -> int:
@@ -265,7 +287,8 @@ def r_convolution(n: int) -> int:
 
 def totals_closed(n: int) -> CountRow:
     """Every total of length ``n`` from its closed form; the counterpart of ``totals_brute``."""
-    return _row(n, central_binomial(n), a_closed(n))
+    b = central_binomial(n)  # refuses a bad n before 1 << n is built
+    return _row(n, 1 << n, b, a_closed(n))
 
 
 class AsymptoticEstimate(NamedTuple):

@@ -334,7 +334,7 @@ def _check_l3_bijection(max_n: int) -> dict | None:
 
 
 def _stream_mismatch(max_n: int) -> dict | None:
-    """The streamed B(0..max_n), then the R, U and A terms built on them, against point-wise."""
+    """The streamed B(0..max_n), then the streamed R, U and A terms, against point-wise."""
     ns = range(max_n + 1)
     bs = list(islice(central_binomials(), max_n + 1))
     mismatch = _first_mismatch(
@@ -342,7 +342,7 @@ def _stream_mismatch(max_n: int) -> dict | None:
     )
     if mismatch:  # a wrong B may make a term's numerator odd, so compare B first
         return mismatch
-    rows = list(_closed_rows(bs))
+    rows = list(islice(_closed_rows(1), max_n + 1))
     return _first_mismatch(
         ns,
         {

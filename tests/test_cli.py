@@ -1,10 +1,13 @@
 """CLI behavior: golden outputs, exit codes, format switches."""
 
+import decimal
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ import ddpaths.verify
 from ddpaths import a_closed, central_binomial, r_closed, r_convolution, totals_brute, totals_closed
 from ddpaths.cli import main
 from ddpaths.enumeration import CSV_HEADER
+from ddpaths.formulas import _closed_rows
 from ddpaths.verify import CheckResult, VerificationReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -120,6 +124,12 @@ class TestSequenceGolden:
         assert code == 2
         assert "terms" in err
 
+    def test_terms_past_sys_maxsize_are_named(self, capsys):
+        code, out, err = run_cli(capsys, "sequence", "one-ascents", "--terms", "9" * 20)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --terms must be at most sys.maxsize = {sys.maxsize}, got {'9' * 20}\n"
+
 
 def _assert_lines(out, expected):
     """``out`` is the ``expected`` lines, each ended by a newline; a mismatch names one line."""
@@ -160,6 +170,96 @@ class TestStreamedOutput:
         code, out, _ = run_cli(capsys, "totals", str(n), "--method", "closed")
         assert code == 0
         _assert_lines(out, [CSV_HEADER, *(totals_closed(k).to_csv() for k in range(n + 1))])
+
+
+# the sizes the closed-forms benchmark prints: 4000 terms of each running sequence and 400 of
+# the convolution, whose every term folds all the terms before it
+_BENCH_TERMS = {"one-ascents": 4000, "right-steps": 4000, "ddp-count": 4000, "convolution": 400}
+_BENCH_ROWS = 2000
+
+
+@functools.lru_cache(maxsize=1)  # the formats of one sequence run one after another
+def _int_terms(which):
+    """The first terms of ``which`` from its int stream, and str() of each."""
+    values = list(islice(ddpaths.cli._SEQUENCES[which](1), _BENCH_TERMS[which]))
+    return values, [str(v) for v in values]
+
+
+def _assert_text(out, expected):
+    """``out == expected``; a mismatch names where it starts, not a diff of megabytes."""
+    if out != expected:
+        at = len(os.path.commonprefix([out, expected]))
+        pytest.fail(f"output differs from character {at}: {out[at - 30 : at + 30]!r}")
+
+
+class TestDecimalRoute:
+    """``sequence`` and ``totals --method closed`` print from streams run in ``decimal``: each
+    format prints the text that str() and json.dumps make of the int streams."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "bfile", "json"])
+    @pytest.mark.parametrize("which", sorted(_BENCH_TERMS))
+    def test_sequence_prints_the_int_text(self, capsys, which, fmt):
+        terms = _BENCH_TERMS[which]
+        argv = ["sequence", which, "--terms", str(terms), "--format", fmt, "--offset", "3"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        values, texts = _int_terms(which)
+        expected = {
+            "text": " ".join(texts) + "\n",
+            "csv": "n,value\n" + "".join(f"{i},{t}\n" for i, t in enumerate(texts, 3)),
+            "bfile": "".join(f"{i} {t}\n" for i, t in enumerate(texts, 3)),
+            "json": json.dumps({"sequence": which, "offset": 3, "values": values}) + "\n",
+        }[fmt]
+        _assert_text(out, expected)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_closed_totals_print_the_int_text(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "totals", str(_BENCH_ROWS), "--format", fmt)
+        assert code == 0
+        rows = list(islice(_closed_rows(1), _BENCH_ROWS + 1))
+        if fmt == "csv":
+            expected = "".join(f"{line}\n" for line in [CSV_HEADER, *(r.to_csv() for r in rows)])
+        else:
+            expected = json.dumps([row.to_json_dict() for row in rows]) + "\n"
+        _assert_text(out, expected)
+
+    def test_terms_past_the_int_str_limit(self):
+        # at length 14500 each of these terms and totals holds more than 4300 digits, the
+        # interpreter's default int->str limit
+        n = 14500
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with ddpaths.cli._exact_decimals() as one:
+                streams = {
+                    which: ddpaths.cli._SEQUENCES[which](one)
+                    for which in ("one-ascents", "right-steps", "ddp-count")
+                }
+                terms = {which: str(next(islice(s, n, None))) for which, s in streams.items()}
+                row = next(islice(_closed_rows(one), n, None)).to_csv()
+            assert terms == {
+                "one-ascents": str(a_closed(n)),
+                "right-steps": str(r_closed(n)),
+                "ddp-count": str(central_binomial(n)),
+            }
+            assert min(map(len, terms.values())) > 4300
+            assert row == totals_closed(n).to_csv()
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    # untrapped, right-steps at 1 digit prints R(4) = 10 as 1E+1, and one-ascents at 28
+    # digits prints A(92) = 5343117688226370354769598072 with its last digit 0
+    @pytest.mark.parametrize(
+        "which,pointwise,prec", [("right-steps", r_closed, 1), ("one-ascents", a_closed, 28)]
+    )
+    def test_a_term_that_would_round_raises(self, capsys, monkeypatch, which, pointwise, prec):
+        monkeypatch.setattr(decimal, "MAX_PREC", prec)
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            main(["sequence", which, "--terms", "100", "--format", "bfile"])
+        out, _ = capsys.readouterr()
+        printed = out.splitlines()
+        assert printed == [f"{n} {pointwise(n)}" for n in range(len(printed))]
+        assert len(printed) < 100
 
 
 # each count stat's methods, in the order its refusal names them
@@ -632,4 +732,4 @@ class TestOutputBoundary:
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
-        assert "Traceback" not in err
+        assert err == ""

@@ -371,6 +371,27 @@ def test_import_scan_flags_the_introspection_modules():
 
 def test_the_cli_loads_no_introspection_module():
     assert not INTROSPECTION & _modules_loaded_by("import ddpaths.cli")
+
+
+# decimal costs about 0.3 MiB of peak memory; only the routes that print sequence terms and
+# closed totals load it
+_SETUP = "import ddpaths.cli\nddpaths.cli.build_parser()\n"
+_QUIET = "import contextlib, io\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+
+
+def test_set_up_count_and_verify_load_no_decimal():
+    statement = (
+        f"{_SETUP}assert ddpaths.verify_all(deep=True).overall\n"
+        f"{_QUIET}    ddpaths.cli.main(['count', 'paths', '20000'])\n"
+    )
+    assert "decimal" not in _modules_loaded_by(statement)
+
+
+@pytest.mark.parametrize("argv", [["sequence", "ddp-count"], ["totals", "3"]])
+def test_printing_terms_loads_decimal(argv):
+    assert "decimal" in _modules_loaded_by(f"{_SETUP}{_QUIET}    ddpaths.cli.main({argv!r})\n")
+
+
 _SLOT = SlotRef(SlotKind.DOWN_STEP, 1)
 _SLOT_TEXT = "SlotRef(kind=<SlotKind.DOWN_STEP: 'DownStep'>, index=1)"
 _RESULT = CheckResult("THM1", "2 <= m <= 14", False, {"m": 3})
